@@ -51,10 +51,12 @@ def lift_gram(g: np.ndarray) -> np.ndarray:
 
 def dual_certificate(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S = T - Re(diag(T gt gt^*)) built from the definition."""
-    T = lift_matrix(lam, L, z)
+    return _certificate_of_lift(lift_matrix(lam, L, z), ghat)
+
+
+def _certificate_of_lift(T: np.ndarray, ghat: np.ndarray) -> np.ndarray:
     gt = np.concatenate([np.asarray(ghat, dtype=complex), [1.0 + 0.0j]])
-    correction = np.real((T @ gt) * np.conj(gt))
-    return T - np.diag(correction)
+    return T - np.diag(np.real((T @ gt) * np.conj(gt)))
 
 
 def dual_certificate_block(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -76,7 +78,13 @@ def dual_certificate_block(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.nd
 
 @dataclass(frozen=True)
 class KktReport:
-    """Optimality-condition residuals for a primal/dual pair (X, S) at lift matrix T."""
+    """Optimality-condition residuals for a primal/dual pair (X, S) at lift matrix T.
+
+    Each condition's threshold is fixed at build time from the matrix scales:
+    tol for the unit diagonal and the dual structure, tol times the scale of
+    X or S for the PSD tests, and for S X = 0 a bound on its size plus tol
+    times the scale of the product.
+    """
 
     diag_ones_err: float
     x_min_eig: float
@@ -84,9 +92,9 @@ class KktReport:
     dual_structure_err: float
     s_min_eig: float
     tol: float
-    # PSD thresholds are relative to the matrix scale; fixed at build time.
-    tol_psd_x: float = 0.0
-    tol_psd_s: float = 0.0
+    tol_psd_x: float
+    tol_psd_s: float
+    tol_complementary: float
 
     @property
     def diag_ones(self) -> bool:
@@ -98,7 +106,7 @@ class KktReport:
 
     @property
     def complementary(self) -> bool:
-        return self.complementary_err <= self.tol
+        return self.complementary_err <= self.tol_complementary
 
     @property
     def dual_structure(self) -> bool:
@@ -122,28 +130,39 @@ class KktReport:
 def kkt_check(X: np.ndarray, S: np.ndarray, T: np.ndarray, tol: float = 1e-8) -> KktReport:
     """Evaluate unit diagonal, X >= 0, S X = 0, S - T real diagonal, S >= 0.
 
-    PSD is decided by the smallest eigenvalue against -tol * max|entry|; the
-    complementary condition by the largest entry of S X against tol.
+    PSD is decided by the smallest eigenvalue against -tol * max(1, max|entry|);
+    the complementary condition by the largest entry of S X against
+    tol * max(1, max|S|) * max(1, max|X|).
     """
     X = np.asarray(X, dtype=complex)
     S = np.asarray(S, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    diag_err = float(np.max(np.abs(np.diag(X) - 1.0)))
-    wx, _ = hermitian_eig(X)
-    comp_err = float(np.max(np.abs(S @ X)))
+    return _kkt_report(
+        x_diag=np.diag(X),
+        x_min_eig=float(hermitian_eig(X)[0][0]),
+        x_scale=max(1.0, float(np.max(np.abs(X)))),
+        complementary_err=float(np.max(np.abs(S @ X))),
+        complementary_bound=0.0,
+        S=S,
+        s_min_eig=float(hermitian_eig(S)[0][0]),
+        T=np.asarray(T, dtype=complex),
+        tol=tol,
+    )
+
+
+def _kkt_report(x_diag, x_min_eig, x_scale, complementary_err, complementary_bound, S, s_min_eig, T, tol):
+    s_scale = max(1.0, float(np.max(np.abs(S))))
     D = S - T
     off = D - np.diag(np.diag(D))
-    dual_err = max(float(np.max(np.abs(off))), float(np.max(np.abs(np.imag(np.diag(D))))))
-    ws, _ = hermitian_eig(S)
     return KktReport(
-        diag_ones_err=diag_err,
-        x_min_eig=float(wx[0]),
-        complementary_err=comp_err,
-        dual_structure_err=dual_err,
-        s_min_eig=float(ws[0]),
+        diag_ones_err=float(np.max(np.abs(x_diag - 1.0))),
+        x_min_eig=x_min_eig,
+        complementary_err=complementary_err,
+        dual_structure_err=max(float(np.max(np.abs(off))), float(np.max(np.abs(np.imag(np.diag(D)))))),
+        s_min_eig=s_min_eig,
         tol=tol,
-        tol_psd_x=tol * max(1.0, float(np.max(np.abs(X)))),
-        tol_psd_s=tol * max(1.0, float(np.max(np.abs(S)))),
+        tol_psd_x=tol * x_scale,
+        tol_psd_s=tol * s_scale,
+        tol_complementary=complementary_bound + tol * s_scale * x_scale,
     )
 
 
@@ -179,6 +198,15 @@ def tightness_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 
     Requires the Riemannian gradient at ghat to be below grad_tol in sup norm
     (the certificate construction presumes first-order criticality).
     Eigenvalues within 1e-8 * max(1, ||S||_max) of zero count as null.
+
+    Only the eigenvalues of S are computed, once; X = gt gt^* needs no
+    eigendecomposition, its spectrum being {0 (n times), ||gt||^2}.  The
+    complementary residual S X has entries (S gt)_i * conj(gt_j), and S gt is
+    exactly (grad/2, -i*Im(z^* ghat)) with grad the Riemannian gradient.
+    Since Im(z^* ghat) = sum_i Im(conj(ghat_i) * (lam*L*ghat - z)_i) and each
+    term is half a gradient entry in modulus, ||S X||_max <= n*||grad||_inf/2;
+    the complementary test allows that bound plus 1e-8 * max(1, ||S||_max)
+    for roundoff.
     """
     g = np.asarray(ghat, dtype=complex)
     gn = float(np.max(np.abs(riemannian_grad(problem, g))))
@@ -186,16 +214,27 @@ def tightness_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 
         raise ValueError(
             f"ghat is not critical: grad sup norm {gn:.3e} exceeds {grad_tol:.1e}"
         )
-    L = problem.graph.laplacian()
-    T = lift_matrix(problem.lam, L, problem.z)
-    S = dual_certificate(g, problem.lam, L, problem.z)
+    T = lift_matrix(problem.lam, problem.graph.laplacian(), problem.z)
+    S = _certificate_of_lift(T, g)
     gt = np.concatenate([g, [1.0 + 0.0j]])
-    w, _ = hermitian_eig(S)
+    w = np.linalg.eigvalsh(S)  # S is Hermitian by construction
     threshold = 1e-8 * max(1.0, float(np.max(np.abs(S))))
     null_mult = int(np.count_nonzero(np.abs(w) <= threshold))
     psd = bool(w[0] >= -threshold)
     rank_n = null_mult == 1
-    kkt = kkt_check(lift_gram(g), S, T)
+    residual = float(np.max(np.abs(S @ gt)))
+    gt_max = float(np.max(np.abs(gt)))
+    kkt = _kkt_report(
+        x_diag=np.real(gt * np.conj(gt)),
+        x_min_eig=0.0,
+        x_scale=max(1.0, gt_max ** 2),
+        complementary_err=residual * gt_max,
+        complementary_bound=0.5 * g.size * gn,
+        S=S,
+        s_min_eig=float(w[0]),
+        T=T,
+        tol=1e-8,
+    )
     data = float(np.real(np.vdot(problem.z, g)))
     indeterminate = data <= threshold
     tight = psd and rank_n and kkt.all_ok and not indeterminate
@@ -211,7 +250,7 @@ def tightness_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 
         threshold=threshold,
         smallest_two=(float(w[0]), float(w[1])) if w.size > 1 else (float(w[0]),),
         data_alignment=data,
-        certificate_residual=float(np.max(np.abs(S @ gt))),
+        certificate_residual=residual,
     )
 
 

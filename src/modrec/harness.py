@@ -350,6 +350,7 @@ class McSummary:
             "base_seed": self.config.base_seed,
             "C": self.config.C,
             "kappa": self.config.kappa,
+            "graph_radius": self.config.graph_radius,
         }
         cells = [
             {

@@ -6,11 +6,12 @@ signal.  That objective equals ||g - z||^2 + lam * g^* L g - 2n on the torus,
 so it trades data fidelity against graph smoothness.
 
 This module provides the objective, tangent-space projection, Riemannian
-gradient and Hessian, a projected-gradient solver with Armijo backtracking
-(retraction = componentwise radial projection), and the sign/realness checks
-satisfied at first- and second-order critical points.  The solver certifies
-first-order criticality only; global optimality is established separately via
-the dual certificate in :mod:`modrec.certificate`.
+gradient and Hessian, a projected-gradient solver with Barzilai-Borwein
+initial steps and Armijo backtracking (retraction = componentwise radial
+projection), and the sign/realness checks satisfied at first- and
+second-order critical points.  The solver certifies first-order criticality
+only; global optimality is established separately via the dual certificate
+in :mod:`modrec.certificate`.
 """
 
 from __future__ import annotations
@@ -87,22 +88,24 @@ class SolveReport:
     grad_inf_norm: float
     iterations: int
     converged: bool
+    backtracks: int  # step halvings summed over every line search
 
 
 def _descend(problem, g0, max_iter, tol, armijo):
     g = np.asarray(g0, dtype=complex).copy()
     fg = objective(problem, g)
-    eta0 = 1.0 / (1.0 + 2.0 * problem.lam * problem.graph.max_degree)
-    it = 0
+    eta_safe = 0.5 / (1.0 + 4.0 * problem.lam * problem.graph.max_degree)
+    eta_first = eta_safe
+    it = backtracks = 0
     grad = riemannian_grad(problem, g)
     gn = float(np.max(np.abs(grad))) if g.size else 0.0
     while gn > tol and it < max_iter:
         gsq = float(np.sum(np.abs(grad) ** 2))
         # Below this the sufficient-decrease test is not resolvable in
-        # binary64; the base step still contracts the gradient near a
-        # minimum, so accept any step that does not measurably increase F.
+        # binary64; near a minimum the step still shrinks the gradient, so
+        # accept any step that does not measurably increase F.
         noise = 1e-15 * (1.0 + abs(fg))
-        eta = eta0
+        eta = eta_first
         g_new = f_new = None
         accepted = False
         while eta >= 1e-20:
@@ -113,13 +116,17 @@ def _descend(problem, g0, max_iter, tol, armijo):
                 accepted = True
                 break
             eta *= 0.5
+            backtracks += 1
         if not accepted or np.array_equal(g_new, g):
             break  # line search exhausted at floating-point resolution
-        g, fg = g_new, f_new
+        grad_new = riemannian_grad(problem, g_new)
+        s, y = g_new - g, grad_new - grad
+        sy = float(np.real(np.vdot(s, y)))
+        eta_first = max(float(np.real(np.vdot(s, s))) / sy, eta_safe) if sy > 0.0 else eta_safe
+        g, fg, grad = g_new, f_new, grad_new
         it += 1
-        grad = riemannian_grad(problem, g)
         gn = float(np.max(np.abs(grad)))
-    return g, fg, gn, it, gn <= tol
+    return g, fg, gn, it, gn <= tol, backtracks
 
 
 def solve_qcqp(
@@ -133,10 +140,18 @@ def solve_qcqp(
 ) -> SolveReport:
     """Projected Riemannian gradient descent with Armijo backtracking.
 
-    The initial step is 1/(1 + 2*lam*max_degree), an inverse Lipschitz scale
-    for the ambient gradient; backtracking halves it until the sufficient
-    decrease holds, so the objective is monotone.  Default init is z itself
-    (the lam = 0 minimizer).  Optional random restarts rerun the descent from
+    Step rule.  Gershgorin bounds the Laplacian by ||L|| <= 2*Delta (Delta
+    the max degree), and the radial factor |Re((lam*L*g - z) * conj(g))_i|
+    by 1 + 2*lam*Delta, so the Riemannian Hessian (see hessian_apply)
+    satisfies ||Hess|| <= 2*(1 + 4*lam*Delta).  Its inverse,
+    eta_safe = 1/(2*(1 + 4*lam*Delta)), is a step that contracts every mode
+    near a minimizer; it starts the first line search and any line search
+    whose last step saw no positive curvature.  Every other line search
+    starts at the Barzilai-Borwein step <s, s>/Re<s, y> (s the last step in
+    g, y the change in the Riemannian gradient), floored at eta_safe.
+    Backtracking halves the step until the Armijo sufficient decrease
+    holds, so the objective is monotone.  Default init is z itself (the
+    lam = 0 minimizer).  Optional random restarts rerun the descent from
     uniform torus points and keep the best objective.  Non-convergence is
     reported, never raised.
     """
@@ -149,9 +164,11 @@ def solve_qcqp(
             cand = _descend(problem, np.exp(1j * angles), max_iter, tol, armijo)
             if cand[1] < best[1]:
                 best = cand
-    g, fg, gn, it, ok = best
+    g, fg, gn, it, ok, backtracks = best
     g.setflags(write=False)
-    return SolveReport(ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=ok)
+    return SolveReport(
+        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=ok, backtracks=backtracks
+    )
 
 
 @dataclass(frozen=True)

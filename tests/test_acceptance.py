@@ -377,6 +377,14 @@ def test_criterion_09_linf_bound_on_sweep(planted_sweep):
     )
 
 
+def test_planted_sweep_solver_iterations_bounded(planted_sweep):
+    # The solver converges on every planted instance by its step rule, in far
+    # fewer steps than the iteration cap.
+    iterations = [rep.iterations for _, _, rep, _, _ in planted_sweep]
+    assert all(rep.converged for _, _, rep, _, _ in planted_sweep)
+    assert max(iterations) <= 100
+
+
 # ---------------------------------------------------------------------------
 # 10. Baseline correctness
 

@@ -12,9 +12,9 @@ from modrec.certificate import (
     linf_error_bound,
     tightness_verdict,
 )
-from modrec.graphs import edge_smoothness, path_graph
+from modrec.graphs import edge_smoothness, grid_graph, path_graph
 from modrec.linalg import hermitian_eig
-from modrec.qcqp import QcqpProblem, objective, solve_qcqp
+from modrec.qcqp import QcqpProblem, objective, riemannian_grad, solve_qcqp
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,8 +23,26 @@ def _random_torus(rng, n):
     return np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
 
 
+def _schur_test(prob, g):
+    """Independent tightness test at a critical point: lambda_min(A) > 0 and
+    Re(z^* g) > 0 with A = lam L + diag(Re(conj(g) (z - lam L g)))."""
+    L = prob.graph.laplacian()
+    A = prob.lam * L + np.diag(np.real(np.conj(g) * (prob.z - prob.lam * (L @ g))))
+    lmin = float(np.linalg.eigvalsh(A)[0])
+    return lmin, lmin > 0.0 and float(np.real(np.vdot(prob.z, g))) > 0.0
+
+
+def _lam5_grid(stream):
+    """A 5x5 grid at lam = 5: smooth planted phase plus 0.15-turn noise."""
+    ii, jj = np.indices((5, 5)) / 4.0
+    f = 0.05 * np.sin(TWO_PI * (ii + 0.5 * jj) + 0.3 * stream)
+    eta = np.random.default_rng([7, stream]).standard_normal(25)
+    z = np.exp(1j * TWO_PI * (f.reshape(-1) + 0.15 * eta))
+    return QcqpProblem(z=z, graph=grid_graph(2, 5), lam=5.0)
+
+
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# Hermitian eigensolver
 
 
 def test_hermitian_eig_identity_and_diagonal():
@@ -228,6 +246,59 @@ def test_verdict_adversarial_point_reports_without_asserting():
     assert cert.tight in (True, False)
     assert cert.eigenvalues.shape == (n + 1,)
     assert isinstance(cert.null_multiplicity, int)
+
+
+@pytest.mark.parametrize("stream", [0, 2])
+def test_verdict_tight_on_lam5_grids(stream):
+    # ||S||_max is about 42 here, so the complementary residual of a
+    # converged point can exceed an absolute 1e-8 while A is positive definite.
+    prob = _lam5_grid(stream)
+    rep = solve_qcqp(prob)
+    assert rep.converged
+    lmin, tight = _schur_test(prob, rep.ghat)
+    assert lmin > 0.5 and tight
+    cert = tightness_verdict(prob, rep.ghat)
+    assert cert.tight and cert.kkt.complementary
+
+
+def test_verdict_complementary_tolerance_follows_the_gradient():
+    # A global phase rotation of a certified solution keeps the gradient
+    # below 1e-8 but moves the last entry of S gt, -i Im(z^* g), above it:
+    # that residual is bounded by n ||grad||_inf / 2, not by an absolute 1e-8.
+    prob = _lam5_grid(0)
+    g = solve_qcqp(prob).ghat * np.exp(3e-9j)
+    assert float(np.max(np.abs(riemannian_grad(prob, g)))) <= 1e-8
+    assert float(np.imag(np.vdot(prob.z, g))) > 1e-8
+    cert = tightness_verdict(prob, g)
+    assert cert.kkt.complementary_err > 1e-8
+    lmin, tight = _schur_test(prob, g)
+    assert cert.tight and tight and lmin > 0.5
+
+
+def test_verdict_matches_schur_oracle_on_random_instances():
+    rng = np.random.default_rng(90)
+    outcomes = []
+    for k in range(30):
+        graph = path_graph(int(rng.integers(6, 30))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 6)))
+        prob = QcqpProblem(z=_random_torus(rng, graph.n), graph=graph, lam=float(rng.uniform(0.05, 3.0)))
+        rep = solve_qcqp(prob)
+        assert rep.converged
+        lmin, tight = _schur_test(prob, rep.ghat)
+        if abs(lmin) < 1e-6:
+            continue  # too close to call for either test
+        cert = tightness_verdict(prob, rep.ghat)
+        assert cert.tight == tight
+        # The rank-one shortcuts agree with the general KKT evaluation on the
+        # explicit X = gt gt^* and dense S.
+        L = graph.laplacian()
+        dense = kkt_check(lift_gram(rep.ghat), dual_certificate(rep.ghat, prob.lam, L, prob.z),
+                          lift_matrix(prob.lam, L, prob.z))
+        assert abs(dense.x_min_eig) <= 1e-12 and cert.kkt.x_min_eig == 0.0
+        assert cert.kkt.complementary_err == pytest.approx(dense.complementary_err, abs=1e-11)
+        assert cert.kkt.s_min_eig == pytest.approx(dense.s_min_eig, abs=1e-10)
+        assert cert.kkt.diag_ones_err <= 1e-15 and cert.kkt.dual_structure_err == dense.dual_structure_err
+        outcomes.append(tight)
+    assert 0 < sum(outcomes) < len(outcomes)  # both verdicts occur
 
 
 def test_verdict_requires_critical_point():

@@ -185,6 +185,16 @@ def test_monte_carlo_deterministic_reports():
     assert r1 == r2
 
 
+def test_monte_carlo_report_records_graph_radius():
+    planted = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
+    reports = [
+        monte_carlo(McConfig(function=planted, d=2, n_sweep=(16,), methods=("ucqp",), trials=1, graph_radius=r)).to_report()
+        for r in (1, 2)
+    ]
+    assert [rep["config"]["graph_radius"] for rep in reports] == [1, 2]
+    assert reports[0]["config"] != reports[1]["config"]
+
+
 def test_monte_carlo_error_decreases_with_n():
     config = McConfig(
         n_sweep=(250, 1000, 4000), trials=20, base_seed=40, methods=("knn",), sigma=0.12

@@ -268,6 +268,30 @@ def test_solver_monotone_objective_and_tolerance():
     assert objective(prob, rep.ghat) <= objective(prob, z) + 1e-12
 
 
+@pytest.mark.parametrize("n", [30, 120])
+def test_solver_iterations_bounded_on_smooth_paths(n):
+    # A first step on the stability boundary of the Hessian takes thousands of
+    # iterations on these instances; the solver must converge by its step
+    # rule, far below the iteration cap.
+    rng = np.random.default_rng(n)
+    x = np.arange(n) / (n - 1)
+    z = np.exp(1j * TWO_PI * (0.15 * np.sin(TWO_PI * x) + 0.001 * rng.standard_normal(n)))
+    rep = solve_qcqp(QcqpProblem(z=z, graph=path_graph(n), lam=0.05))
+    assert rep.converged and rep.grad_inf_norm <= 1e-9
+    assert rep.iterations <= 100
+
+
+def test_solver_counts_backtracks():
+    rng = np.random.default_rng(54)
+    z = _random_torus(rng, 6)
+    assert solve_qcqp(QcqpProblem(z=z, graph=path_graph(6), lam=0.0)).backtracks == 0
+    # A stiff grid problem rejects some Barzilai-Borwein steps; each halving
+    # is counted, and the descent still converges.
+    z = _random_torus(rng, 16)
+    rep = solve_qcqp(QcqpProblem(z=z, graph=grid_graph(2, 4), lam=3.0))
+    assert rep.converged and 0 < rep.backtracks
+
+
 # ---------------------------------------------------------------------------
 # Critical point structure
 

@@ -1,6 +1,8 @@
 """Undirected connected graphs on [0, n): adjacency, Laplacian, smoothness.
 
-Vertices are 0-based.  Edges are unordered pairs stored as sorted tuples.
+Vertices are 0-based.  Edges are stored once, as a read-only (E, 2) int64
+array of rows (i, j), i < j, in lexicographic order: every edge-wise sum
+accumulates in that order, whatever order the edges were given in.
 The Laplacian is the combinatorial one, L = diag(W 1) - W, applied edge-wise
 so that large sparse graphs never require a dense matrix; dense W and L are
 available for the certificate computations, which only ever see small n.
@@ -8,66 +10,52 @@ available for the certificate computations, which only ever see small n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpec:
+    """Connected graph; edges is any sequence of vertex pairs or an (E, 2)
+    array, validated and stored as the module docstring says.  Equality and
+    hashing are by identity."""
+
     n: int
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
-        seen = set()
-        norm = []
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) outside vertex range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if not self._connected():
+        e = np.array(self.edges, dtype=np.int64)
+        if e.size and e.shape[1:] != (2,):
+            raise ValueError("edges must be vertex pairs")
+        e = e.reshape(-1, 2)
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {e[loops.argmax(), 0]}")
+        outside = ((e < 0) | (e >= self.n)).any(axis=1)
+        if outside.any():
+            raise ValueError("edge ({},{}) outside vertex range".format(*e[outside.argmax()]))
+        e = np.sort(e, axis=1)
+        e = np.asfortranarray(e[np.lexsort((e[:, 1], e[:, 0]))])
+        dup = (e[1:] == e[:-1]).all(axis=1)
+        if dup.any():
+            raise ValueError("duplicate edge ({}, {})".format(*e[dup.argmax()]))
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
+        if not _connected(self.n, *self._edge_arrays):
             raise ValueError("graph must be connected")
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        root = find(0)
-        return all(find(v) == root for v in range(self.n))
 
     @cached_property
     def _edge_arrays(self):
-        ei = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        ej = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        return ei, ej
+        return self.edges[:, 0], self.edges[:, 1]  # contiguous: edges is Fortran-ordered
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        ei, ej = self._edge_arrays
-        np.add.at(deg, ei, 1)
-        np.add.at(deg, ej, 1)
-        return deg
+        return np.bincount(self.edges.ravel(order="K"), minlength=self.n)
 
     @property
     def max_degree(self) -> int:
@@ -76,8 +64,7 @@ class GraphSpec:
     def adjacency(self) -> np.ndarray:
         W = np.zeros((self.n, self.n))
         ei, ej = self._edge_arrays
-        W[ei, ej] = 1.0
-        W[ej, ei] = 1.0
+        W[ei, ej] = W[ej, ei] = 1.0
         return W
 
     def laplacian(self) -> np.ndarray:
@@ -85,26 +72,41 @@ class GraphSpec:
         return np.diag(W.sum(axis=1)) - W
 
 
+def _connected(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
+    """Label hooking and pointer jumping (Shiloach-Vishkin).  Each round hooks
+    every root onto the smallest smaller root adjacent to its tree, then jumps
+    pointers until each vertex points at its root.  A tree left unhooked has a
+    smaller neighbour the next round, so unfinished trees halve every two rounds."""
+    label = np.arange(n)
+    while True:
+        li, lj = label[ei], label[ej]
+        if np.array_equal(li, lj):
+            return bool((label == 0).all())
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
 def path_graph(n: int) -> GraphSpec:
-    return GraphSpec(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    return GraphSpec(n=n, edges=np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
 
 
 def grid_graph(d: int, m: int, radius: int = 1) -> GraphSpec:
     """Neighborhood graph on the m^d grid: vertices are lexicographic ranks,
     edges join multi-indices at Chebyshev distance <= radius.  Max degree is
-    (2*radius + 1)^d - 1 away from the boundary."""
+    (2*radius + 1)^d - 1 away from the boundary.  Each offset o in the
+    positive half of {-r..r}^d pairs two slices of the rank array, a and a + o."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    shape = (m,) * d
-    n = m ** d
-    coords = np.array(np.unravel_index(np.arange(n), shape)).T  # (n, d)
-    edges = []
-    for a in range(n):
-        ca = coords[a]
-        for b in range(a + 1, n):
-            if np.max(np.abs(coords[b] - ca)) <= radius:
-                edges.append((a, b))
-    return GraphSpec(n=n, edges=tuple(edges))
+    ranks = np.arange(m ** d).reshape((m,) * d)
+    r = min(radius, m - 1)
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for off in itertools.product(range(-r, r + 1), repeat=d):
+        if off > (0,) * d:
+            a = ranks[tuple(slice(max(0, -o), m - max(0, o)) for o in off)]
+            b = ranks[tuple(slice(max(0, o), m - max(0, -o)) for o in off)]
+            pairs.append(np.stack([a.ravel(), b.ravel()], axis=1))
+    return GraphSpec(n=m ** d, edges=np.concatenate(pairs))
 
 
 def adjacency_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
@@ -139,6 +141,4 @@ def edge_smoothness(h: np.ndarray, graph: GraphSpec) -> float:
     if v.shape != (graph.n,):
         raise ValueError(f"signal length {v.shape} does not match n = {graph.n}")
     ei, ej = graph._edge_arrays
-    if len(graph.edges) == 0:
-        return 0.0
-    return float(np.max(np.abs(v[ei] - v[ej])))
+    return float(np.max(np.abs(v[ei] - v[ej]), initial=0.0))

@@ -124,14 +124,18 @@ class GridField:
         return self.values.reshape(-1)
 
 
-def _ceil_root(k: int, d: int) -> int:
-    """Smallest integer s >= 1 with s**d >= k (exact integer arithmetic)."""
-    if k <= 1:
-        return 1
-    s = max(1, round(k ** (1.0 / d)))
-    while s ** d >= k:
+def floor_root(k: int, d: int) -> int:
+    """Largest integer s >= 0 with s**d <= k, in exact integer arithmetic.
+
+    The float root only seeds the search: it is inexact once k passes 2**53.
+    The smallest s with s**d >= k is floor_root(k - 1, d) + 1.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    s = round(k ** (1.0 / d))
+    while s ** d > k:
         s -= 1
-    while s ** d < k:
+    while (s + 1) ** d <= k:
         s += 1
     return s
 
@@ -148,7 +152,7 @@ def knn_radius_sup(d: int, m: int, k: int) -> float:
         raise ValueError("m must be >= 2")
     if not 1 <= k <= m ** d:
         raise ValueError(f"k must lie in [1, {m ** d}]")
-    return (_ceil_root(k, d) - 1) / (m - 1)
+    return floor_root(k - 1, d) / (m - 1)
 
 
 def _knn_axis_ranges(grid: UniformGrid, x, k: int):

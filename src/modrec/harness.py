@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines
 from .circle import circle_arg, mod1, wrap_distance
 from .graphs import grid_graph, path_graph
-from .grid import GridField, UniformGrid, mesh_points
+from .grid import GridField, UniformGrid, floor_root, mesh_points
 from .knn import DenoiseResult, choose_k_practical, denoise
 from .unwrap import ItohReport, UnwrapResult, itoh_check, unwrap_multid
 
@@ -282,11 +282,7 @@ class McConfig:
 
 
 def _axis_points(n: int, d: int) -> int:
-    m = round(n ** (1.0 / d))
-    while m ** d > n:
-        m -= 1
-    while (m + 1) ** d <= n:
-        m += 1
+    m = floor_root(n, d)
     if m ** d != n:
         raise ValueError(f"n = {n} is not a perfect {d}-th power")
     return m

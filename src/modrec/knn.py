@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, circle_arg
-from .grid import GridField, UniformGrid, _knn_axis_ranges
+from .grid import GridField, UniformGrid, _knn_axis_ranges, floor_root
 
 
 @dataclass(frozen=True)
@@ -310,11 +310,7 @@ def sup_error_scale(d: int, sigma: float, M: float, n: int) -> SupErrorScale:
     c_sigma = (4.0 * np.pi ** 2 * sigma ** 2 + 2.0) / 3.0 + np.pi * sigma
     gamma = 6.0 * (8.0 * np.pi * M) ** (d / (d + 2)) * (32.0 * c_sigma) ** (2.0 / (d + 2))
     value = gamma * (math.log(n) / n) ** (1.0 / (d + 2))
-    m = round(n ** (1.0 / d))
-    while m ** d > n:
-        m -= 1
-    while (m + 1) ** d <= n:
-        m += 1
+    m = floor_root(n, d)
     feasible = m >= 2 and value + 2.0 * M / (m - 1) < 1.0
     return SupErrorScale(
         value=float(value),

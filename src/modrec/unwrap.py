@@ -90,11 +90,12 @@ def _merge_counts(parts):
 
 
 def unwrap_1d(ghat) -> UnwrapResult:
-    """Cumulative branch-corrected unwrapping of a 1-D mod-1 sequence."""
+    """Cumulative branch-corrected unwrapping of a 1-D mod-1 sequence: unwrap_multid
+    on the 1-D grid of g.size points (a single sample has no grid)."""
     g = np.asarray(ghat, dtype=float).reshape(-1)
     if g.size < 1:
         raise ValueError("need at least one sample")
-    if np.any(g < 0.0) or np.any(g >= 1.0):
+    if not np.all((g >= 0.0) & (g < 1.0)):  # also rejects NaN
         raise ValueError("mod1 values must lie in [0, 1)")
     if g.size == 1:
         return UnwrapResult(
@@ -102,10 +103,7 @@ def unwrap_1d(ghat) -> UnwrapResult:
             branch_counts=BranchCounts(0, 0, 0, 0),
             itoh_margin=0.5,
         )
-    corr, counts = _branch_correct_array(np.diff(g))
-    ftilde = np.concatenate(([g[0]], g[0] + np.cumsum(corr)))
-    margin = 0.5 - float(np.max(np.abs(corr)))
-    return UnwrapResult(ftilde=ftilde, branch_counts=counts, itoh_margin=margin)
+    return unwrap_multid(GridField(UniformGrid(1, g.size), g, kind="mod1"))
 
 
 def unwrap_multid(ghat: GridField) -> UnwrapResult:

@@ -5,6 +5,7 @@ from conftest import knn_brute
 from modrec.grid import (
     GridField,
     UniformGrid,
+    floor_root,
     grid_point,
     iter_lex,
     knn_radius,
@@ -88,6 +89,18 @@ def test_knn_radius_sup_examples():
         knn_radius_sup(1, 1, 1)
     with pytest.raises(ValueError):
         knn_radius_sup(2, 3, 10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_floor_root_around_powers(d):
+    # At d = 4 the powers pass 2^53, where the float seed is inexact.
+    for s in range(1, 10 ** 4 + 1):
+        for k in (s ** d - 1, s ** d, s ** d + 1):
+            t = floor_root(k, d)
+            assert t ** d <= k < (t + 1) ** d
+        assert floor_root(s ** d, d) == s
+    with pytest.raises(ValueError):
+        floor_root(-1, d)
 
 
 def test_knn_radius_sup_brute_force_corner_and_fine_grid():

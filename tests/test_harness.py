@@ -195,6 +195,15 @@ def test_monte_carlo_report_records_graph_radius():
     assert reports[0]["config"] != reports[1]["config"]
 
 
+def test_mc_config_sweep_sizes_are_perfect_powers():
+    assert McConfig(d=3, n_sweep=(8, 27, 10 ** 15), methods=("ucqp",)).n_sweep[-1] == 10 ** 15
+    for d, n in ((2, 10), (3, 26), (3, 28), (3, 10 ** 15 - 1), (3, 10 ** 15 + 1)):
+        with pytest.raises(ValueError, match="perfect"):
+            McConfig(d=d, n_sweep=(n,))
+    with pytest.raises(ValueError, match="fewer than 2"):
+        McConfig(d=2, n_sweep=(1,))
+
+
 def test_monte_carlo_error_decreases_with_n():
     config = McConfig(
         n_sweep=(250, 1000, 4000), trials=20, base_seed=40, methods=("knn",), sigma=0.12

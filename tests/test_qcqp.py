@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import graph_edges_brute
 from modrec.graphs import (
     GraphSpec,
     edge_smoothness,
@@ -76,6 +77,67 @@ def test_edge_smoothness():
     x = np.arange(n) / (n - 1)
     h = np.exp(1j * TWO_PI * m_lip * x)
     assert edge_smoothness(h, path_graph(n)) <= TWO_PI * m_lip / (n - 1) + 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_grid_graph_matches_pair_scan(d, radius, m):
+    graph = grid_graph(d, m, radius)
+    expected = np.array(graph_edges_brute(d, m, radius), dtype=np.int64).reshape(-1, 2)
+    assert graph.n == m ** d
+    assert graph.edges.dtype == np.int64 and np.array_equal(graph.edges, expected)
+    if m >= 2 * radius + 1:
+        center = np.ravel_multi_index((radius,) * d, (m,) * d)
+        assert graph.degrees[center] == graph.max_degree == (2 * radius + 1) ** d - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_path_graph_edges(n):
+    g = path_graph(n)
+    assert g.edges.shape == (n - 1, 2)
+    assert g.edges.tolist() == [[i, i + 1] for i in range(n - 1)]
+    assert g.degrees.tolist() == ([0] if n == 1 else [1] + [2] * (n - 2) + [1])
+    assert edge_smoothness(np.ones(n, dtype=complex), g) == 0.0
+
+
+def test_graph_edges_normalised_from_any_input():
+    rng = np.random.default_rng(43)
+    pairs = [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4), (1, 4)]
+    ref = GraphSpec(n=5, edges=pairs).edges
+    assert ref.tolist() == sorted(list(p) for p in pairs)
+    assert not ref.flags.writeable
+    shuffled = [pairs[k][::-1] if rng.random() < 0.5 else pairs[k] for k in rng.permutation(len(pairs))]
+    for edges in (np.array(pairs), np.array(pairs)[::-1, ::-1], shuffled, tuple(shuffled)):
+        e = GraphSpec(n=5, edges=edges).edges
+        assert e.dtype == np.int64 and not e.flags.writeable and np.array_equal(e, ref)
+    src = np.array(pairs)
+    GraphSpec(n=5, edges=src)
+    assert src.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        GraphSpec(n=3, edges=np.array([[0, 1], [2, 2]]))
+    with pytest.raises(ValueError, match=r"edge \(0,5\) outside"):
+        GraphSpec(n=3, edges=[(0, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"edge \(-1,0\) outside"):
+        GraphSpec(n=3, edges=[(-1, 0)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+        GraphSpec(n=3, edges=[(0, 1), (2, 1), (1, 2)])
+    for bad in ([(0, 1, 2)], [0, 1], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="vertex pairs"):
+            GraphSpec(n=3, edges=bad)
+
+
+def test_graph_connectivity_under_relabelling():
+    rng = np.random.default_rng(47)
+    for n in (3, 200, 10 ** 5):
+        perm = rng.permutation(n)
+        path = np.stack([perm[:-1], perm[1:]], axis=1)[rng.permutation(n - 1)]
+        assert GraphSpec(n=n, edges=path).degrees.sum() == 2 * (n - 1)
+        with pytest.raises(ValueError, match="connected"):
+            GraphSpec(n=n, edges=np.delete(path, rng.integers(n - 1), axis=0))
+        isolated = np.stack([perm[:-2], perm[1:-1]], axis=1)  # misses perm[-1]
+        with pytest.raises(ValueError, match="connected"):
+            GraphSpec(n=n, edges=isolated)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ def test_unwrap_1d_examples():
     assert r.branch_counts.minus_one == 1
     r = unwrap_1d([0.4])
     assert r.ftilde.tolist() == [0.4]
-    with pytest.raises(ValueError):
-        unwrap_1d([0.1, 1.1])
+    for bad in ([0.1, 1.1], [np.nan], [0.1, np.nan, 0.2]):
+        with pytest.raises(ValueError, match="must lie in"):
+            unwrap_1d(bad)
 
 
 def test_unwrap_1d_linear_function_exact():
@@ -38,6 +39,21 @@ def test_unwrap_1d_linear_function_exact():
     r = unwrap_1d(np.asarray(mod1(f)))
     # Recovery is exact here (observed zero error; global shift q* = 0).
     assert np.max(np.abs(r.ftilde - f)) <= 1e-12
+
+
+def test_unwrap_1d_equals_multid_on_1d_fields():
+    rng = np.random.default_rng(37)
+    for m in (2, 3, 17, 500):
+        g = rng.uniform(size=m)
+        r1 = unwrap_1d(g)
+        rm = unwrap_multid(GridField(UniformGrid(1, m), g, kind="mod1"))
+        assert r1.ftilde.tobytes() == rm.ftilde.tobytes()
+        assert r1.branch_counts == rm.branch_counts and r1.itoh_margin == rm.itoh_margin
+        # The direct cumulative sum of branch-corrected differences, as an oracle.
+        a = np.diff(g)
+        corr = a + (a < -0.5) - (a > 0.5)
+        assert r1.ftilde.tobytes() == np.concatenate(([g[0]], g[0] + np.cumsum(corr))).tobytes()
+        assert r1.itoh_margin == 0.5 - np.max(np.abs(corr))
 
 
 def test_unwrap_multid_hand_example():

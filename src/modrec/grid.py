@@ -171,6 +171,15 @@ def _knn_axis_ranges(grid: UniformGrid, x, k: int):
         raise ValueError(f"k must lie in [1, {grid.n}]")
     coords = grid.axis_coords()
     dists = np.abs(x[:, None] - coords[None, :])  # (d, m)
+    # A coordinate on the half-spacing lattice h/(2(m-1)) (a grid coordinate
+    # or a midpoint) lies a whole number of half spacings from every grid
+    # coordinate, but subtracting rounded coordinates can split equal
+    # distances by an ulp.  Take them from the integers instead, so ties stay
+    # ties and a grid-point query gets the integer box that denoise uses.
+    half = 2 * (grid.m - 1)
+    h = np.rint(x * half)
+    lattice = h / half == x
+    dists[lattice] = np.abs(h[lattice, None] - 2 * np.arange(grid.m)) / half
     candidates = np.unique(dists)
 
     def count(r: float) -> int:

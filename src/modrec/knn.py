@@ -7,8 +7,11 @@ discards the magnitude, the averaging normalization is irrelevant; we divide
 by the actual neighborhood size, which is also the right thing under ties.
 
 Neighborhoods of grid points are integer Chebyshev boxes clipped to the grid,
-so the whole pass runs on d-dimensional prefix sums: O(n log m) total, with a
-fixed summation order that makes results independent of scheduling.
+so the whole pass runs on d-dimensional prefix sums (summed-area tables), with
+a fixed summation order that makes results independent of scheduling.  Every
+box that is not clipped has the same radius, so the grid is summed at that
+radius in O(2^d n); only the boundary shell, where clipped boxes hold too few
+points, searches for larger radii: O(s log m) more for s shell points.
 
 Bandwidth selection implements three rules:
 
@@ -45,11 +48,17 @@ class DenoiseResult:
     numerically zero (resultant below 1e-14 per member, i.e. perfect antipodal
     cancellation up to roundoff); those outputs are 0.0 by the projection
     convention that sends the zero vector to 1.
+
+    radius_histogram holds (radius, points) pairs in ascending radius, one per
+    radius in use: the number of grid points whose neighborhood is the clipped
+    Chebyshev box of that integer radius.  The points sum to n.  Interior
+    points share the smallest radius; larger ones occur only near the boundary.
     """
 
     ghat: GridField
     k: int
     zero_resultants: int
+    radius_histogram: tuple
 
 
 # A resultant this small relative to the member count has no meaningful
@@ -64,47 +73,63 @@ def _padded_prefix_sums(arr: np.ndarray) -> np.ndarray:
     return np.pad(p, [(1, 0)] * arr.ndim)
 
 
-def _box_radii(shape: tuple, k: int) -> np.ndarray:
-    """Minimal integer Chebyshev radius per grid point whose clipped box holds >= k points."""
-    d = len(shape)
-    m = shape[0]
-    idx = [ax.reshape(-1) for ax in np.indices(shape)]  # 0-based coords, flat
-    n = idx[0].size
-    lo_c = np.zeros(n, dtype=np.int64)
-    hi_c = np.full(n, m - 1, dtype=np.int64)
+def _windows(idx: tuple, c, m: int):
+    """Clipped boxes of Chebyshev radius c around the index arrays idx.
 
-    def counts(c):
-        total = np.ones(n, dtype=np.int64)
-        for a in range(d):
-            lo = np.maximum(idx[a] - c, 0)
-            hi = np.minimum(idx[a] + c, m - 1)
-            total *= hi - lo + 1
-        return total
-
-    while np.any(lo_c < hi_c):
-        mid = (lo_c + hi_c) // 2
-        ok = counts(mid) >= k
-        hi_c = np.where(ok, mid, hi_c)
-        lo_c = np.where(ok, lo_c, mid + 1)
-    return lo_c
+    Returns the per-axis corners max(i - c, 0) and min(i + c, m - 1) and the
+    box sizes.  The index arrays may be flat (one box per entry) or an open
+    mesh from np.ix_ (every box of the grid); the outputs broadcast alike.
+    """
+    lo = tuple(np.maximum(i - c, 0) for i in idx)
+    hi = tuple(np.minimum(i + c, m - 1) for i in idx)
+    sizes = 1
+    for lo_a, hi_a in zip(lo, hi):
+        sizes = sizes * (hi_a - lo_a + 1)
+    return lo, hi, sizes
 
 
-def _box_sums(prefix: np.ndarray, shape: tuple, radii: np.ndarray):
-    """Clipped-box sums around every grid point via inclusion-exclusion."""
-    d = len(shape)
-    m = shape[0]
-    idx = [ax.reshape(-1) for ax in np.indices(shape)]
-    lo = [np.maximum(idx[a] - radii, 0) for a in range(d)]
-    hi = [np.minimum(idx[a] + radii, m - 1) for a in range(d)]
-    total = np.zeros(idx[0].size, dtype=prefix.dtype)
-    counts = np.ones(idx[0].size, dtype=np.int64)
-    for a in range(d):
-        counts *= hi[a] - lo[a] + 1
+def _corner_sums(prefix: np.ndarray, lo: tuple, hi: tuple) -> np.ndarray:
+    """Box sums by inclusion-exclusion over the 2^d corners, in a fixed order."""
+    d = len(lo)
+    total = np.zeros(np.broadcast(*lo).shape, dtype=prefix.dtype)
     for corner in itertools.product((0, 1), repeat=d):
         pick = tuple(hi[a] + 1 if corner[a] else lo[a] for a in range(d))
         sign = 1 if (d - sum(corner)) % 2 == 0 else -1
         total += sign * prefix[pick]
-    return total, counts
+    return total
+
+
+def _box_sums(prefix: np.ndarray, shape: tuple, k: int):
+    """Flat sums, sizes and radii of the smallest clipped Chebyshev box holding
+    >= k grid points, around every grid point.
+
+    Every box that is not clipped has the radius c0 = min{c : (2c+1)^d >= k},
+    and clipping only removes points, so no radius is below c0.  The whole grid
+    is summed at c0 with one open-mesh gather per corner; only the boundary
+    shell, whose boxes at c0 hold fewer than k points, is searched for its
+    radii and gathered point by point.
+    """
+    d, m = len(shape), shape[0]
+    c0 = (floor_root(k - 1, d) + 1) // 2
+    lo, hi, counts = _windows(np.ix_(*[np.arange(m)] * d), c0, m)
+    sums = _corner_sums(prefix, lo, hi).reshape(-1)
+    counts = counts.reshape(-1)
+    radii = np.full(counts.size, c0)
+
+    shell = np.flatnonzero(counts < k)
+    idx = np.unravel_index(shell, shape)
+    lo_c = np.full(shell.size, c0 + 1)
+    hi_c = np.full(shell.size, m - 1)
+    while np.any(lo_c < hi_c):
+        mid = (lo_c + hi_c) // 2
+        ok = _windows(idx, mid, m)[2] >= k
+        hi_c = np.where(ok, mid, hi_c)
+        lo_c = np.where(ok, lo_c, mid + 1)
+    lo, hi, shell_counts = _windows(idx, lo_c, m)
+    sums[shell] = _corner_sums(prefix, lo, hi)
+    counts[shell] = shell_counts
+    radii[shell] = lo_c
+    return sums, counts, radii
 
 
 def denoise(y: GridField, k: int) -> DenoiseResult:
@@ -122,8 +147,7 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
         raise ValueError(f"k must lie in [1, {grid.n}]")
     z = np.exp(1j * TWO_PI * y.values)
     prefix = _padded_prefix_sums(z)
-    radii = _box_radii(grid.shape, k)
-    sums, counts = _box_sums(prefix, grid.shape, radii)
+    sums, counts, radii = _box_sums(prefix, grid.shape, k)
 
     mags = np.abs(sums)
     zero_mask = mags <= _CANCEL_TOL * counts
@@ -133,7 +157,11 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     # round trip so the output is bitwise equal to the input there.
     ghat = np.where(radii == 0, y.flat, ghat)
     field = GridField(grid, ghat.reshape(grid.shape), kind="mod1")
-    return DenoiseResult(ghat=field, k=int(k), zero_resultants=int(zero_mask.sum()))
+    points = np.bincount(radii)
+    histogram = tuple((int(r), int(points[r])) for r in np.flatnonzero(points))
+    return DenoiseResult(
+        ghat=field, k=int(k), zero_resultants=int(zero_mask.sum()), radius_histogram=histogram
+    )
 
 
 def circle_estimate(y: GridField, k: int, x) -> complex:

@@ -47,6 +47,12 @@ def test_knn_set_examples():
     assert knn_set(g, (0.5,), 2) == [(2,), (3,), (4,)]
     g2 = UniformGrid(2, 3)
     assert knn_set(g2, (0.0, 0.0), 3) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    # 1/6 is inexact in binary; (3,) and (5,) are both one spacing from x.
+    g7 = UniformGrid(1, 7)
+    assert knn_set(g7, (0.5,), 2) == [(3,), (4,), (5,)]
+    assert knn_radius(g7, (0.5,), 2) == 1 / 6
+    # Midpoint of (2,) and (3,) on a 4-point grid: a tie at half a spacing.
+    assert knn_set(UniformGrid(1, 4), (0.5,), 2) == [(2,), (3,)]
     with pytest.raises(ValueError):
         knn_set(g, (0.5,), 0)
     with pytest.raises(ValueError):
@@ -58,8 +64,10 @@ def test_knn_set_matches_brute_force():
     grids = [
         UniformGrid(1, 2),
         UniformGrid(1, 7),
+        UniformGrid(1, 10),
         UniformGrid(1, 64),
         UniformGrid(2, 3),
+        UniformGrid(2, 7),
         UniformGrid(2, 9),
         UniformGrid(2, 64),
         UniformGrid(3, 4),
@@ -77,7 +85,9 @@ def test_knn_set_matches_brute_force():
                 got = knn_set(grid, x, k)
                 assert got == expected, (grid, x, k)
                 assert len(got) >= k
-                assert knn_radius(grid, x, k) == r
+                # The float radius carries the rounding of the grid
+                # coordinates; the exact one is a Fraction.
+                assert knn_radius(grid, x, k) == pytest.approx(float(r), rel=0, abs=1e-15)
 
 
 def test_knn_radius_sup_examples():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_mod1_field
+from conftest import box_sums_brute, random_mod1_field
+from modrec import knn
 from modrec.circle import circle_arg, mod1, wrap_distance
 from modrec.grid import GridField, UniformGrid, iter_lex, knn_set
 from modrec.knn import (
@@ -72,10 +73,15 @@ def _denoise_oracle(f: GridField, k: int) -> np.ndarray:
 
 
 def test_denoise_matches_definition_oracle():
-    # Dyadic m keeps floating-point distances tie-exact between the integer
-    # box logic and the coordinate-based oracle.
+    # m = 7 and 6 have spacings inexact in binary; the kNN sets of grid points
+    # must tie exactly as the integer boxes do.
     rng = np.random.default_rng(22)
-    for grid, ks in ((UniformGrid(1, 9), (1, 2, 4, 9)), (UniformGrid(2, 5), (1, 3, 7, 25))):
+    for grid, ks in (
+        (UniformGrid(1, 9), (1, 2, 4, 9)),
+        (UniformGrid(2, 5), (1, 3, 7, 25)),
+        (UniformGrid(1, 7), (2, 3, 4, 7)),
+        (UniformGrid(2, 6), (2, 5, 10, 36)),
+    ):
         f = random_mod1_field(grid, rng)
         for k in ks:
             got = denoise(f, k).ghat.flat
@@ -88,7 +94,7 @@ def test_box_machinery_against_integer_brute_force():
     # they can be checked tie-exactly on any m via Chebyshev distances.
     from itertools import product
 
-    from modrec.knn import _box_radii, _box_sums, _padded_prefix_sums
+    from modrec.knn import _box_sums, _padded_prefix_sums
 
     rng = np.random.default_rng(29)
     for d, m in ((1, 6), (1, 7), (2, 6), (3, 4)):
@@ -97,8 +103,7 @@ def test_box_machinery_against_integer_brute_force():
         prefix = _padded_prefix_sums(vals)
         coords = list(product(range(m), repeat=d))
         for k in (1, 2, 5, m ** d):
-            radii = _box_radii(shape, k)
-            sums, counts = _box_sums(prefix, shape, radii)
+            sums, counts, radii = _box_sums(prefix, shape, k)
             for flat_idx, j in enumerate(coords):
                 cheb = np.array([max(abs(a - b) for a, b in zip(j, other)) for other in coords])
                 c_expected = int(np.sort(cheb)[k - 1])
@@ -107,6 +112,43 @@ def test_box_machinery_against_integer_brute_force():
                 assert counts[flat_idx] == members.sum()
                 direct = sum(vals[coords[t]] for t in np.nonzero(members)[0])
                 assert abs(sums[flat_idx] - direct) < 1e-10
+
+
+# Every k on these grids covers m = 2, k = 1, k = n and boxes wider than the
+# grid (2 c0 + 1 > m).
+SMALL_GRIDS = [(1, m) for m in (2, 3, 4, 7, 12)] + [(2, m) for m in (2, 3, 5, 8)]
+SMALL_GRIDS += [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+
+
+def test_denoise_bitwise_equals_slow_path_oracle(monkeypatch):
+    # The shared-radius box stage must reproduce the full-grid radius search
+    # and point-by-point gather exactly, so denoise outputs are compared as
+    # bytes.  Half- and quarter-turn fields cancel exactly in some boxes.
+    rng = np.random.default_rng(30)
+    cancelled = wider_than_grid = 0
+    for d, m in SMALL_GRIDS:
+        grid = UniformGrid(d, m)
+        fields = [
+            random_mod1_field(grid, rng),
+            GridField(grid, 0.5 * rng.integers(0, 2, size=grid.shape), kind="mod1"),
+            GridField(grid, 0.25 * rng.integers(0, 4, size=grid.shape), kind="mod1"),
+        ]
+        for f in fields:
+            prefix = knn._padded_prefix_sums(np.exp(1j * TWO_PI * f.values))
+            for k in range(1, grid.n + 1):
+                got = denoise(f, k)
+                with monkeypatch.context() as mp:
+                    mp.setattr(knn, "_box_sums", box_sums_brute)
+                    want = denoise(f, k)
+                assert got.ghat.values.tobytes() == want.ghat.values.tobytes(), (d, m, k)
+                assert got.zero_resultants == want.zero_resultants, (d, m, k)
+                radii = box_sums_brute(prefix, grid.shape, k)[2]
+                r, points = np.unique(radii, return_counts=True)
+                assert got.radius_histogram == tuple(zip(r.tolist(), points.tolist()))
+                assert sum(p for _, p in got.radius_histogram) == grid.n
+                cancelled += want.zero_resultants > 0
+                wider_than_grid += 2 * radii.min() + 1 > m
+    assert cancelled > 0 and wider_than_grid > 0
 
 
 def test_denoise_normalization_invariance_on_ties():
@@ -148,14 +190,18 @@ def test_denoise_validates_input():
 
 
 def test_circle_estimate_matches_full_field_denoise():
+    # Spacings 1/6, 1/9 and 1/10 are inexact in binary, yet grid points
+    # equidistant from the query must tie: at a grid point the estimate uses
+    # the same integer box as denoise.
     rng = np.random.default_rng(25)
-    grid = UniformGrid(1, 9)
-    f = random_mod1_field(grid, rng)
-    k = 3
-    den = denoise(f, k).ghat.flat
-    for rank, idx in enumerate(iter_lex(grid)):
-        u = circle_estimate(f, k, grid.point(idx))
-        assert abs(circle_arg(u) - den[rank]) < 1e-12
+    grids = [UniformGrid(1, m) for m in (9, 7, 10, 11)] + [UniformGrid(2, 7), UniformGrid(2, 10)]
+    for grid in grids:
+        f = random_mod1_field(grid, rng)
+        for k in (k for k in (2, 3, 4, 5, 8, 9, 10) if k <= grid.n):
+            den = denoise(f, k).ghat.flat
+            for rank, idx in enumerate(iter_lex(grid)):
+                u = circle_estimate(f, k, grid.point(idx))
+                assert wrap_distance(circle_arg(u), den[rank]) < 1e-12, (grid, k, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from .baselines import HardCaseError, NumericError, lambda_schedule, solve_trs, 
 from .certificate import (
     apriori_tightness_conditions,
     dual_certificate,
-    dual_certificate_block,
     empirical_tightness_condition,
-    kkt_check,
     lift_gram,
     lift_matrix,
     linf_error_bound,
+    schur_block,
     tightness_verdict,
 )
 from .circle import (

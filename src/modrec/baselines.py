@@ -25,6 +25,8 @@ import numpy as np
 from .circle import project_to_circle
 from .graphs import GraphSpec, laplacian_apply
 
+TRS_CG_TOL = 1e-12  # relative CG residual of each inner solve of solve_trs
+
 
 class HardCaseError(RuntimeError):
     """No positive multiplier solves the sphere stationarity system."""
@@ -115,7 +117,6 @@ def solve_trs(
     graph: GraphSpec,
     lam: float,
     bisect_tol: float = 1e-10,
-    cg_tol: float = 1e-12,
 ) -> TrsResult:
     """Sphere-constrained smoothing via bisection on the secular function.
 
@@ -144,7 +145,7 @@ def solve_trs(
         def apply_A(v):
             return lam * laplacian_apply(graph, v) + mu * v
 
-        x, _, _ = conjugate_gradient(apply_A, z, cg_tol, 10 * max(n, 50), x0=x0)
+        x, _, _ = conjugate_gradient(apply_A, z, TRS_CG_TOL, 10 * max(n, 50), x0=x0)
         return x
 
     def phi(g):

@@ -8,13 +8,20 @@ diagonal, where
 A rank-one solution W = gt gt^* with gt = (ghat; 1) recovers the torus
 denoiser exactly.  From a critical point ghat one builds the dual certificate
 
-    S = T - Re(diag(T gt gt^*)),
+    S = T - Re(diag(T gt gt^*)) = [[A, -z], [-z^*, Re(z^* ghat)]],
 
-which always satisfies the linear optimality conditions (S gt = 0 is exactly
-first-order criticality, S - T is real diagonal).  If additionally S >= 0
-with rank n, the lifted problem has gt gt^* as its unique solution and ghat
-is the unique global denoiser.  This module builds S, evaluates the
-optimality conditions, decides rank/PSD by eigenvalue thresholding, and
+which always satisfies the linear optimality conditions (S - T is real
+diagonal); S gt = 0 is exactly first-order criticality.  If additionally
+S >= 0 with null space span(gt), the lifted problem has gt gt^* as its
+unique solution and ghat is the unique global denoiser.  Given S gt = 0 that
+holds exactly when the real n x n block
+
+    A = lam*L + diag(Re(conj(ghat) * (z - lam*L*ghat)))
+
+is positive definite (Bandeira-Boumal-Singer, "Tightness of the maximum
+likelihood semidefinite relaxation for angular synchronization", 2017), so
+the verdict decides on A alone and never forms S.  The dense lift and
+certificate remain for the identities they satisfy.  The module also
 implements the closed-form sufficient conditions and error bound that
 guarantee tightness a priori.
 """
@@ -25,8 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .graphs import GraphSpec, laplacian_apply
 from .qcqp import QcqpProblem, riemannian_grad
+
+GRAD_TOL = 1e-7  # largest Riemannian gradient sup norm the verdict accepts as critical
+TOL = 1e-8  # unit-modulus tolerance, and the eigenvalue threshold relative to ||A||_max
 
 
 def lift_matrix(lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -50,207 +60,82 @@ def lift_gram(g: np.ndarray) -> np.ndarray:
 
 
 def dual_certificate(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """S = T - Re(diag(T gt gt^*)) built from the definition."""
-    return _certificate_of_lift(lift_matrix(lam, L, z), ghat)
-
-
-def _certificate_of_lift(T: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+    """S = T - Re(diag(T gt gt^*)) built densely from the definition."""
+    T = lift_matrix(lam, L, z)
     gt = np.concatenate([np.asarray(ghat, dtype=complex), [1.0 + 0.0j]])
     return T - np.diag(np.real((T @ gt) * np.conj(gt)))
 
 
-def dual_certificate_block(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Block assembly [[lam*L + D, -z], [-z^*, Re(z^* ghat)]] with
-    D = diag(Re(conj(ghat) * (z - lam*L*ghat))); agrees with the definition
-    form everywhere, exactly so at critical points where the real parts are
-    the full values."""
+def schur_block(ghat: np.ndarray, lam: float, graph: GraphSpec, z: np.ndarray) -> np.ndarray:
+    """The real n x n block A = lam*L + diag(Re(conj(ghat) * (z - lam*L*ghat)))
+    of the dual certificate, assembled from the edge list: -lam on each edge,
+    lam*degree plus the diagonal term on the diagonal."""
     g = np.asarray(ghat, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    n = g.size
-    D = np.real(np.conj(g) * (z - lam * (np.asarray(L) @ g)))
-    S = np.zeros((n + 1, n + 1), dtype=complex)
-    S[:n, :n] = lam * np.asarray(L, dtype=float) + np.diag(D)
-    S[:n, n] = -z
-    S[n, :n] = -np.conj(z)
-    S[n, n] = np.real(np.vdot(z, g))
-    return S
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Optimality-condition residuals for a primal/dual pair (X, S) at lift matrix T.
-
-    Each condition's threshold is fixed at build time from the matrix scales:
-    tol for the unit diagonal and the dual structure, tol times the scale of
-    X or S for the PSD tests, and for S X = 0 a bound on its size plus tol
-    times the scale of the product.
-    """
-
-    diag_ones_err: float
-    x_min_eig: float
-    complementary_err: float
-    dual_structure_err: float
-    s_min_eig: float
-    tol: float
-    tol_psd_x: float
-    tol_psd_s: float
-    tol_complementary: float
-
-    @property
-    def diag_ones(self) -> bool:
-        return self.diag_ones_err <= self.tol
-
-    @property
-    def x_psd(self) -> bool:
-        return self.x_min_eig >= -self.tol_psd_x
-
-    @property
-    def complementary(self) -> bool:
-        return self.complementary_err <= self.tol_complementary
-
-    @property
-    def dual_structure(self) -> bool:
-        return self.dual_structure_err <= self.tol
-
-    @property
-    def s_psd(self) -> bool:
-        return self.s_min_eig >= -self.tol_psd_s
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.diag_ones
-            and self.x_psd
-            and self.complementary
-            and self.dual_structure
-            and self.s_psd
-        )
-
-
-def kkt_check(X: np.ndarray, S: np.ndarray, T: np.ndarray, tol: float = 1e-8) -> KktReport:
-    """Evaluate unit diagonal, X >= 0, S X = 0, S - T real diagonal, S >= 0.
-
-    PSD is decided by the smallest eigenvalue against -tol * max(1, max|entry|);
-    the complementary condition by the largest entry of S X against
-    tol * max(1, max|S|) * max(1, max|X|).
-    """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    return _kkt_report(
-        x_diag=np.diag(X),
-        x_min_eig=float(hermitian_eig(X)[0][0]),
-        x_scale=max(1.0, float(np.max(np.abs(X)))),
-        complementary_err=float(np.max(np.abs(S @ X))),
-        complementary_bound=0.0,
-        S=S,
-        s_min_eig=float(hermitian_eig(S)[0][0]),
-        T=np.asarray(T, dtype=complex),
-        tol=tol,
-    )
-
-
-def _kkt_report(x_diag, x_min_eig, x_scale, complementary_err, complementary_bound, S, s_min_eig, T, tol):
-    s_scale = max(1.0, float(np.max(np.abs(S))))
-    D = S - T
-    off = D - np.diag(np.diag(D))
-    return KktReport(
-        diag_ones_err=float(np.max(np.abs(x_diag - 1.0))),
-        x_min_eig=x_min_eig,
-        complementary_err=complementary_err,
-        dual_structure_err=max(float(np.max(np.abs(off))), float(np.max(np.abs(np.imag(np.diag(D)))))),
-        s_min_eig=s_min_eig,
-        tol=tol,
-        tol_psd_x=tol * x_scale,
-        tol_psd_s=tol * s_scale,
-        tol_complementary=complementary_bound + tol * s_scale * x_scale,
-    )
+    D = np.real(np.conj(g) * (np.asarray(z, dtype=complex) - lam * laplacian_apply(graph, g)))
+    ei, ej = graph._edge_arrays
+    A = np.zeros((graph.n, graph.n))
+    A[ei, ej] = A[ej, ei] = -lam
+    np.fill_diagonal(A, lam * graph.degrees + D)
+    return A
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Eigenstructure of the dual certificate and the resulting verdict.
+    """Tightness verdict and the margin it was decided by.
 
-    tight means: S is PSD with a one-dimensional null space and every
-    optimality condition holds, certifying the candidate as the unique global
-    denoiser.  indeterminate is set when Re(z^* ghat) is numerically zero, a
-    degenerate configuration on which the rank reduction says nothing.  The
-    two smallest eigenvalues are carried so borderline rank decisions can be
-    audited.
+    tight means: ghat lies on the torus and schur_min_eig, the smallest
+    eigenvalue of the Schur block A, exceeds threshold = 1e-8 * max(1,
+    ||A||_max), certifying ghat as the unique global denoiser.
+    indeterminate is set when data_alignment = Re(z^* ghat) is at most
+    threshold, a degenerate configuration on which the reduction says
+    nothing.  certificate_residual is ||S gt||_inf.
     """
 
-    eigenvalues: np.ndarray
-    min_eig: float
-    null_multiplicity: int
-    psd: bool
-    rank_n: bool
-    kkt: KktReport
     tight: bool
     indeterminate: bool
+    schur_min_eig: float
     threshold: float
-    smallest_two: tuple
     data_alignment: float
     certificate_residual: float
 
 
-def tightness_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 1e-7) -> CertificateReport:
-    """Build the dual certificate at a converged critical point and classify it.
+def tightness_verdict(problem: QcqpProblem, ghat: np.ndarray) -> CertificateReport:
+    """Classify a converged critical point by the Schur block of its certificate.
 
-    Requires the Riemannian gradient at ghat to be below grad_tol in sup norm
-    (the certificate construction presumes first-order criticality).
-    Eigenvalues within 1e-8 * max(1, ||S||_max) of zero count as null.
+    Requires the Riemannian gradient at ghat to be below GRAD_TOL in sup
+    norm (the certificate construction presumes first-order criticality) and
+    raises ValueError otherwise.
 
-    Only the eigenvalues of S are computed, once; X = gt gt^* needs no
-    eigendecomposition, its spectrum being {0 (n times), ||gt||^2}.  The
-    complementary residual S X has entries (S gt)_i * conj(gt_j), and S gt is
-    exactly (grad/2, -i*Im(z^* ghat)) with grad the Riemannian gradient.
-    Since Im(z^* ghat) = sum_i Im(conj(ghat_i) * (lam*L*ghat - z)_i) and each
-    term is half a gradient entry in modulus, ||S X||_max <= n*||grad||_inf/2;
-    the complementary test allows that bound plus 1e-8 * max(1, ||S||_max)
-    for roundoff.
+    S gt is exactly (grad/2, -i*Im(z^* ghat)) with grad the Riemannian
+    gradient, so certificate_residual = max(||grad||_inf/2, |Im(z^* ghat)|)
+    needs no S.  Complementarity S X = 0 needs no separate test: for
+    X = gt gt^*, S X has entries (S gt)_i * conj(gt_j), and since
+    Im(z^* ghat) = sum_i Im(conj(ghat_i) * (lam*L*ghat - z)_i), each term
+    half a gradient entry in modulus, ||S X||_max <= n*||grad||_inf/2, which
+    the criticality check already bounds.  X >= 0 and S - T real diagonal
+    hold by construction, the unit diagonal of X is the check
+    |ghat_i|^2 = 1 within 1e-8, and S >= 0 with null space span(gt) is A > 0,
+    decided as lambda_min(A) > 1e-8 * max(1, ||A||_max).
     """
     g = np.asarray(ghat, dtype=complex)
     gn = float(np.max(np.abs(riemannian_grad(problem, g))))
-    if gn > grad_tol:
+    if gn > GRAD_TOL:
         raise ValueError(
-            f"ghat is not critical: grad sup norm {gn:.3e} exceeds {grad_tol:.1e}"
+            f"ghat is not critical: grad sup norm {gn:.3e} exceeds {GRAD_TOL:.1e}"
         )
-    T = lift_matrix(problem.lam, problem.graph.laplacian(), problem.z)
-    S = _certificate_of_lift(T, g)
-    gt = np.concatenate([g, [1.0 + 0.0j]])
-    w = np.linalg.eigvalsh(S)  # S is Hermitian by construction
-    threshold = 1e-8 * max(1.0, float(np.max(np.abs(S))))
-    null_mult = int(np.count_nonzero(np.abs(w) <= threshold))
-    psd = bool(w[0] >= -threshold)
-    rank_n = null_mult == 1
-    residual = float(np.max(np.abs(S @ gt)))
-    gt_max = float(np.max(np.abs(gt)))
-    kkt = _kkt_report(
-        x_diag=np.real(gt * np.conj(gt)),
-        x_min_eig=0.0,
-        x_scale=max(1.0, gt_max ** 2),
-        complementary_err=residual * gt_max,
-        complementary_bound=0.5 * g.size * gn,
-        S=S,
-        s_min_eig=float(w[0]),
-        T=T,
-        tol=1e-8,
-    )
-    data = float(np.real(np.vdot(problem.z, g)))
-    indeterminate = data <= threshold
-    tight = psd and rank_n and kkt.all_ok and not indeterminate
+    on_torus = float(np.max(np.abs(np.real(g * np.conj(g)) - 1.0))) <= TOL
+    A = schur_block(g, problem.lam, problem.graph, problem.z)
+    schur_min_eig = float(np.linalg.eigvalsh(A)[0])
+    threshold = TOL * max(1.0, float(np.max(np.abs(A))))
+    data = complex(np.vdot(problem.z, g))
+    indeterminate = data.real <= threshold
     return CertificateReport(
-        eigenvalues=w,
-        min_eig=float(w[0]),
-        null_multiplicity=null_mult,
-        psd=psd,
-        rank_n=rank_n,
-        kkt=kkt,
-        tight=tight,
+        tight=on_torus and schur_min_eig > threshold and not indeterminate,
         indeterminate=indeterminate,
+        schur_min_eig=schur_min_eig,
         threshold=threshold,
-        smallest_two=(float(w[0]), float(w[1])) if w.size > 1 else (float(w[0]),),
-        data_alignment=data,
-        certificate_residual=residual,
+        data_alignment=data.real,
+        certificate_residual=max(0.5 * gn, abs(data.imag)),
     )
 
 

@@ -148,8 +148,6 @@ def _validate_k_flags(args) -> None:
 def _choose_k(args, field: GridField) -> int:
     n, d = field.grid.n, field.grid.d
     if args.k_rule == "explicit":
-        if args.k is None:
-            raise UsageError("--k is required with --k-rule explicit")
         return args.k
     if args.k_rule == "expected":
         return knn.choose_k_expected_risk(d, args.sigma, args.M, n)
@@ -263,12 +261,9 @@ def _run(args) -> int:
                 info.update(
                     {
                         "tight": cert.tight,
-                        "psd": cert.psd,
-                        "rank_n": cert.rank_n,
-                        "null_multiplicity": cert.null_multiplicity,
-                        "min_eig": cert.min_eig,
                         "indeterminate": cert.indeterminate,
-                        "eigenvalues": list(cert.eigenvalues),
+                        "schur_min_eig": cert.schur_min_eig,
+                        "threshold": cert.threshold,
                     }
                 )
                 if args.out:

@@ -4,8 +4,9 @@ Vertices are 0-based.  Edges are stored once, as a read-only (E, 2) int64
 array of rows (i, j), i < j, in lexicographic order: every edge-wise sum
 accumulates in that order, whatever order the edges were given in.
 The Laplacian is the combinatorial one, L = diag(W 1) - W, applied edge-wise
-so that large sparse graphs never require a dense matrix; dense W and L are
-available for the certificate computations, which only ever see small n.
+so that large sparse graphs never require a dense matrix.  Dense W and L are
+available for small n: the dense lift of the certificate and the tests use
+them, while the tightness verdict builds its matrix from the edge list.
 """
 
 from __future__ import annotations

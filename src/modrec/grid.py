@@ -165,7 +165,7 @@ def _knn_axis_ranges(grid: UniformGrid, x, k: int):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (grid.d,):
         raise ValueError(f"query point must have {grid.d} coordinates")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # also rejects NaN
         raise ValueError("query point must lie in [0,1]^d")
     if not 1 <= k <= grid.n:
         raise ValueError(f"k must lie in [1, {grid.n}]")

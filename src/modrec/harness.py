@@ -13,7 +13,7 @@ denoiser, so method comparisons differ only in the denoising stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class PlantedFunction:
         for j, (a, f, p) in enumerate(zip(self.amplitudes, self.frequencies, self.phases)):
             out = out + a * np.sin(2.0 * np.pi * f * pts[..., j] + p)
         return out
-
-
-def random_planted(d: int, rng: np.random.Generator, max_freq: int = 3) -> PlantedFunction:
-    amps = tuple(rng.uniform(-1.0, 1.0, size=d))
-    freqs = tuple(int(f) for f in rng.integers(1, max_freq + 1, size=d))
-    phases = tuple(rng.uniform(0.0, 2.0 * np.pi, size=d))
-    return PlantedFunction(amps, freqs, phases, offset=float(rng.uniform(-2.0, 2.0)))
 
 
 @dataclass(frozen=True)
@@ -336,18 +329,9 @@ class McSummary:
         raise KeyError(f"no cell for n={n}, method={method}")
 
     def to_report(self) -> dict:
-        cfg = {
-            "function": str(self.config.function),
-            "d": self.config.d,
-            "sigma": self.config.sigma,
-            "n_sweep": list(self.config.n_sweep),
-            "methods": list(self.config.methods),
-            "trials": self.config.trials,
-            "base_seed": self.config.base_seed,
-            "C": self.config.C,
-            "kappa": self.config.kappa,
-            "graph_radius": self.config.graph_radius,
-        }
+        cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        cfg = {name: list(v) if isinstance(v, tuple) else v for name, v in cfg.items()}
+        cfg["function"] = str(self.config.function)
         cells = [
             {
                 "n": c.n,

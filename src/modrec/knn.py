@@ -346,10 +346,3 @@ def sup_error_scale(d: int, sigma: float, M: float, n: int) -> SupErrorScale:
         unwrap_feasible=bool(feasible),
     )
 
-
-def bernstein_tail_bound(t: float, K: float, var_sum: float) -> float:
-    """Bernstein tail 2*exp(-t^2/2 / (var_sum + K*t/3)) for sums of centered
-    variables bounded by K with total variance var_sum."""
-    if t <= 0 or K <= 0 or var_sum < 0:
-        raise ValueError("invalid inputs")
-    return 2.0 * math.exp(-(t ** 2) / 2.0 / (var_sum + K * t / 3.0))

@@ -23,6 +23,10 @@ import numpy as np
 from .circle import project_to_circle
 from .graphs import GraphSpec, adjacency_apply, laplacian_apply, quadratic_form
 
+MAX_ITER = 100_000  # iteration cap of one descent
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+CRITICAL_TOL_SCALE = 1e-7  # critical_point_checks tolerance per vertex
+
 
 @dataclass(frozen=True)
 class QcqpProblem:
@@ -91,7 +95,7 @@ class SolveReport:
     backtracks: int  # step halvings summed over every line search
 
 
-def _descend(problem, g0, max_iter, tol, armijo):
+def _descend(problem, g0, tol):
     g = np.asarray(g0, dtype=complex).copy()
     fg = objective(problem, g)
     eta_safe = 0.5 / (1.0 + 4.0 * problem.lam * problem.graph.max_degree)
@@ -99,7 +103,7 @@ def _descend(problem, g0, max_iter, tol, armijo):
     it = backtracks = 0
     grad = riemannian_grad(problem, g)
     gn = float(np.max(np.abs(grad))) if g.size else 0.0
-    while gn > tol and it < max_iter:
+    while gn > tol and it < MAX_ITER:
         gsq = float(np.sum(np.abs(grad) ** 2))
         # Below this the sufficient-decrease test is not resolvable in
         # binary64; near a minimum the step still shrinks the gradient, so
@@ -111,7 +115,7 @@ def _descend(problem, g0, max_iter, tol, armijo):
         while eta >= 1e-20:
             g_new = np.asarray(project_to_circle(g - eta * grad))
             f_new = objective(problem, g_new)
-            required = armijo * eta * gsq
+            required = ARMIJO * eta * gsq
             if f_new <= fg - required or (required <= noise and f_new <= fg + noise):
                 accepted = True
                 break
@@ -132,9 +136,7 @@ def _descend(problem, g0, max_iter, tol, armijo):
 def solve_qcqp(
     problem: QcqpProblem,
     init: np.ndarray | None = None,
-    max_iter: int = 100_000,
     tol: float = 1e-9,
-    armijo: float = 1e-4,
     restarts: int = 0,
     seed: int = 0,
 ) -> SolveReport:
@@ -156,12 +158,12 @@ def solve_qcqp(
     reported, never raised.
     """
     g0 = problem.z if init is None else np.asarray(init, dtype=complex)
-    best = _descend(problem, g0, max_iter, tol, armijo)
+    best = _descend(problem, g0, tol)
     if restarts:
         rng = np.random.default_rng(seed)
         for _ in range(restarts):
             angles = rng.uniform(0.0, 2.0 * np.pi, size=problem.graph.n)
-            cand = _descend(problem, np.exp(1j * angles), max_iter, tol, armijo)
+            cand = _descend(problem, np.exp(1j * angles), tol)
             if cand[1] < best[1]:
                 best = cand
     g, fg, gn, it, ok, backtracks = best
@@ -199,7 +201,7 @@ class CriticalPointReport:
         return self.first_order_ok and self.second_order_ok
 
 
-def critical_point_checks(problem: QcqpProblem, ghat: np.ndarray, tol_scale: float = 1e-7) -> CriticalPointReport:
+def critical_point_checks(problem: QcqpProblem, ghat: np.ndarray) -> CriticalPointReport:
     g = np.asarray(ghat, dtype=complex)
     diag_terms = np.conj(g) * (problem.z + problem.lam * adjacency_apply(problem.graph, g))
     data = complex(np.vdot(problem.z, g))
@@ -208,7 +210,7 @@ def critical_point_checks(problem: QcqpProblem, ghat: np.ndarray, tol_scale: flo
         max_imag_diag=float(np.max(np.abs(diag_terms.imag))),
         min_real_diag=float(np.min(diag_terms.real)),
         data_alignment=data.real,
-        tol=tol_scale * problem.graph.n,
+        tol=CRITICAL_TOL_SCALE * problem.graph.n,
     )
 
 

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import dense_verdict, kkt_check
+from modrec import certificate, linalg
 from modrec.certificate import (
     apriori_tightness_conditions,
     dual_certificate,
-    dual_certificate_block,
     empirical_tightness_condition,
-    kkt_check,
     lift_gram,
     lift_matrix,
     linf_error_bound,
+    schur_block,
     tightness_verdict,
 )
-from modrec.graphs import edge_smoothness, grid_graph, path_graph
+from modrec.graphs import GraphSpec, edge_smoothness, grid_graph, path_graph
 from modrec.linalg import hermitian_eig
 from modrec.qcqp import QcqpProblem, objective, riemannian_grad, solve_qcqp
 
@@ -39,6 +40,13 @@ def _lam5_grid(stream):
     eta = np.random.default_rng([7, stream]).standard_normal(25)
     z = np.exp(1j * TWO_PI * (f.reshape(-1) + 0.15 * eta))
     return QcqpProblem(z=z, graph=grid_graph(2, 5), lam=5.0)
+
+
+def _random_instance(rng, k, lam_range, path_end=30, grid_end=6):
+    """A random torus signal on a path (even k) or a square grid (odd k);
+    sizes are drawn below path_end nodes and grid_end points per axis."""
+    graph = path_graph(int(rng.integers(6, path_end))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, grid_end)))
+    return QcqpProblem(z=_random_torus(rng, graph.n), graph=graph, lam=float(rng.uniform(*lam_range)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +148,24 @@ def test_dual_certificate_minus_lift_is_real_diagonal_for_any_g():
 
 
 def test_dual_certificate_two_constructions_agree_at_critical_points():
-    rng = np.random.default_rng(67)
-    n = 10
-    graph = path_graph(n)
-    z = _random_torus(rng, n)
-    lam = 0.04
-    prob = QcqpProblem(z=z, graph=graph, lam=lam)
-    rep = solve_qcqp(prob)
-    assert rep.converged
-    L = graph.laplacian()
-    S1 = dual_certificate(rep.ghat, lam, L, z)
-    S2 = dual_certificate_block(rep.ghat, lam, L, z)
-    assert np.max(np.abs(S1 - S2)) < 1e-10
-    # S annihilates the lifted solution at critical points.
-    gt = np.concatenate([rep.ghat, [1.0 + 0j]])
-    assert np.max(np.abs(S1 @ gt)) <= 1e-7 * (1.0 + np.max(np.abs(S1)))
+    # The dense definition of S and the edge-list Schur block A = S[:n, :n].
+    for graph, lam in ((path_graph(10), 0.04), (grid_graph(2, 4), 0.7), (grid_graph(2, 3, 2), 2.0)):
+        n = graph.n
+        z = _random_torus(np.random.default_rng([67, n]), n)
+        rep = solve_qcqp(QcqpProblem(z=z, graph=graph, lam=lam))
+        assert rep.converged
+        S = dual_certificate(rep.ghat, lam, graph.laplacian(), z)
+        A = schur_block(rep.ghat, lam, graph, z)
+        assert A.dtype == np.float64 and A.shape == (n, n)
+        assert np.max(np.abs(S[:n, :n].real - A)) < 1e-12
+        assert np.max(np.abs(S[:n, :n].imag)) == 0.0
+        # S annihilates the lifted solution at critical points.
+        gt = np.concatenate([rep.ghat, [1.0 + 0j]])
+        assert np.max(np.abs(S @ gt)) <= 1e-7 * (1.0 + np.max(np.abs(S)))
 
 
 # ---------------------------------------------------------------------------
-# KKT conditions
+# KKT conditions (the dense oracle in conftest)
 
 
 def test_kkt_gram_feasibility():
@@ -208,11 +215,14 @@ def test_verdict_lam0_always_tight():
     z = _random_torus(rng, n)
     prob = QcqpProblem(z=z, graph=graph, lam=0.0)
     cert = tightness_verdict(prob, z)
-    assert cert.tight and cert.psd and cert.rank_n
-    assert cert.null_multiplicity == 1
-    # spectrum is {0, 1 (n-1 times), n+1}
+    # A = I up to the rounding of |z_i|^2
+    assert cert.tight and cert.schur_min_eig > cert.threshold
+    assert cert.schur_min_eig == pytest.approx(1.0, abs=1e-12)
+    dense = dense_verdict(prob, z)
+    assert dense.tight and dense.psd and dense.rank_n and dense.null_multiplicity == 1
+    # spectrum of S is {0, 1 (n-1 times), n+1}
     expected = np.sort(np.concatenate([[0.0], np.ones(n - 1), [n + 1.0]]))
-    assert np.allclose(cert.eigenvalues, expected, atol=1e-10)
+    assert np.allclose(dense.eigenvalues, expected, atol=1e-10)
 
 
 def test_verdict_planted_smooth_instance():
@@ -228,8 +238,10 @@ def test_verdict_planted_smooth_instance():
     prob = QcqpProblem(z=z, graph=graph, lam=lam)
     rep = solve_qcqp(prob)
     cert = tightness_verdict(prob, rep.ghat)
-    assert cert.tight
-    assert cert.certificate_residual <= 1e-7 * (1.0 + np.max(np.abs(cert.eigenvalues)))
+    dense = dense_verdict(prob, rep.ghat)
+    assert cert.tight and dense.tight
+    assert cert.certificate_residual == pytest.approx(dense.certificate_residual, abs=1e-12)
+    assert cert.certificate_residual <= 1e-7 * (1.0 + np.max(np.abs(dense.eigenvalues)))
 
 
 def test_verdict_adversarial_point_reports_without_asserting():
@@ -243,9 +255,10 @@ def test_verdict_adversarial_point_reports_without_asserting():
     prob = QcqpProblem(z=z, graph=graph, lam=0.5 / graph.max_degree)
     rep = solve_qcqp(prob)
     cert = tightness_verdict(prob, rep.ghat)
-    assert cert.tight in (True, False)
-    assert cert.eigenvalues.shape == (n + 1,)
-    assert isinstance(cert.null_multiplicity, int)
+    assert cert.tight == (cert.schur_min_eig > cert.threshold and not cert.indeterminate)
+    assert isinstance(cert.schur_min_eig, float) and cert.threshold >= 1e-8
+    if abs(cert.schur_min_eig) >= 1e-6:
+        assert cert.tight == dense_verdict(prob, rep.ghat).tight
 
 
 @pytest.mark.parametrize("stream", [0, 2])
@@ -258,7 +271,9 @@ def test_verdict_tight_on_lam5_grids(stream):
     lmin, tight = _schur_test(prob, rep.ghat)
     assert lmin > 0.5 and tight
     cert = tightness_verdict(prob, rep.ghat)
-    assert cert.tight and cert.kkt.complementary
+    assert cert.tight and cert.schur_min_eig == pytest.approx(lmin, abs=1e-12)
+    dense = dense_verdict(prob, rep.ghat)
+    assert dense.tight and dense.kkt.complementary
 
 
 def test_verdict_complementary_tolerance_follows_the_gradient():
@@ -270,35 +285,84 @@ def test_verdict_complementary_tolerance_follows_the_gradient():
     assert float(np.max(np.abs(riemannian_grad(prob, g)))) <= 1e-8
     assert float(np.imag(np.vdot(prob.z, g))) > 1e-8
     cert = tightness_verdict(prob, g)
-    assert cert.kkt.complementary_err > 1e-8
+    assert cert.certificate_residual > 1e-8
     lmin, tight = _schur_test(prob, g)
     assert cert.tight and tight and lmin > 0.5
+    dense = dense_verdict(prob, g)
+    assert dense.tight and dense.kkt.complementary_err > 1e-8
+    assert cert.certificate_residual == pytest.approx(dense.certificate_residual, abs=1e-12)
 
 
 def test_verdict_matches_schur_oracle_on_random_instances():
     rng = np.random.default_rng(90)
     outcomes = []
     for k in range(30):
-        graph = path_graph(int(rng.integers(6, 30))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 6)))
-        prob = QcqpProblem(z=_random_torus(rng, graph.n), graph=graph, lam=float(rng.uniform(0.05, 3.0)))
+        prob = _random_instance(rng, k, (0.05, 3.0))
         rep = solve_qcqp(prob)
         assert rep.converged
         lmin, tight = _schur_test(prob, rep.ghat)
         if abs(lmin) < 1e-6:
             continue  # too close to call for either test
         cert = tightness_verdict(prob, rep.ghat)
-        assert cert.tight == tight
-        # The rank-one shortcuts agree with the general KKT evaluation on the
-        # explicit X = gt gt^* and dense S.
-        L = graph.laplacian()
-        dense = kkt_check(lift_gram(rep.ghat), dual_certificate(rep.ghat, prob.lam, L, prob.z),
-                          lift_matrix(prob.lam, L, prob.z))
-        assert abs(dense.x_min_eig) <= 1e-12 and cert.kkt.x_min_eig == 0.0
-        assert cert.kkt.complementary_err == pytest.approx(dense.complementary_err, abs=1e-11)
-        assert cert.kkt.s_min_eig == pytest.approx(dense.s_min_eig, abs=1e-10)
-        assert cert.kkt.diag_ones_err <= 1e-15 and cert.kkt.dual_structure_err == dense.dual_structure_err
+        oracle = dense_verdict(prob, rep.ghat)
+        assert cert.tight == tight == oracle.tight
+        assert cert.schur_min_eig == pytest.approx(lmin, abs=1e-10)
+        assert cert.certificate_residual == pytest.approx(oracle.certificate_residual, abs=1e-12)
+        n = prob.graph.n
+        L = prob.graph.laplacian()
+        S = dual_certificate(rep.ghat, prob.lam, L, prob.z)
+        assert np.max(np.abs(schur_block(rep.ghat, prob.lam, prob.graph, prob.z) - S[:n, :n].real)) < 1e-12
+        # The oracle's rank-one shortcuts agree with the general KKT
+        # evaluation on the explicit X = gt gt^* and dense S.
+        full = kkt_check(lift_gram(rep.ghat), S, lift_matrix(prob.lam, L, prob.z))
+        assert abs(full.x_min_eig) <= 1e-12 and oracle.kkt.x_min_eig == 0.0
+        assert oracle.kkt.complementary_err == pytest.approx(full.complementary_err, abs=1e-11)
+        assert oracle.kkt.s_min_eig == pytest.approx(full.s_min_eig, abs=1e-10)
+        assert oracle.kkt.diag_ones_err <= 1e-15 and oracle.kkt.dual_structure_err == full.dual_structure_err
         outcomes.append(tight)
     assert 0 < sum(outcomes) < len(outcomes)  # both verdicts occur
+
+
+def test_verdict_matches_dense_oracle_sweep():
+    # 6-40-node paths and 3x3-6x6 grids alternately, lam in [0.02, 3].
+    rng = np.random.default_rng(91)
+    outcomes = []
+    for k in range(300):
+        prob = _random_instance(rng, k, (0.02, 3.0), path_end=41, grid_end=7)
+        rep = solve_qcqp(prob)
+        # Instance 92 stalls at a gradient of 3.5e-8, above the solver's 1e-9
+        # but critical enough for the verdict.
+        assert rep.converged or k == 92
+        cert = tightness_verdict(prob, rep.ghat)
+        oracle = dense_verdict(prob, rep.ghat)
+        assert cert.tight == oracle.tight, (k, cert, oracle.eigenvalues[:2])
+        outcomes.append(cert.tight)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_verdict_decides_on_the_real_schur_block(monkeypatch):
+    # No dense lift, Laplacian, complex matrix or (n+1)-square array: the one
+    # eigenvalue call sees the real n x n block.
+    prob = _lam5_grid(2)
+    ghat = solve_qcqp(prob).ghat
+    expected = tightness_verdict(prob, ghat)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verdict must not build the dense certificate")
+
+    for owner, name in ((certificate, "lift_matrix"), (certificate, "dual_certificate"),
+                        (certificate, "lift_gram"), (linalg, "hermitian_eig"), (GraphSpec, "laplacian")):
+        monkeypatch.setattr(owner, name, forbidden)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, a.dtype))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert tightness_verdict(prob, ghat) == expected
+    assert seen == [((25, 25), np.dtype(np.float64))]
 
 
 def test_verdict_requires_critical_point():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from modrec.grid import GridField, UniformGrid, mesh_points
 from modrec.harness import (
     LIPSCHITZ_EXAMPLE2,
     McConfig,
+    McSummary,
     PlantedFunction,
     SyntheticSpec,
     align,
@@ -193,6 +196,38 @@ def test_monte_carlo_report_records_graph_radius():
     ]
     assert [rep["config"]["graph_radius"] for rep in reports] == [1, 2]
     assert reports[0]["config"] != reports[1]["config"]
+
+
+def test_monte_carlo_report_config_lists_every_field():
+    planted = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
+    config = McConfig(function=planted, d=2, n_sweep=(16, 64), methods=("ucqp", "trs"), graph_radius=2)
+    cfg = McSummary(config, ()).to_report()["config"]
+    assert list(cfg) == [f.name for f in dataclasses.fields(McConfig)]
+    assert cfg["function"] == str(planted)
+    assert cfg["n_sweep"] == [16, 64] and cfg["methods"] == ["ucqp", "trs"]
+
+
+def test_monte_carlo_report_config_matches_the_listed_keys():
+    # Acceptance criterion 13's configuration, against the key list the
+    # report was once written from.
+    config = McConfig(
+        function="example1", d=1, sigma=0.12, n_sweep=(250,), methods=("knn", "ucqp", "trs"),
+        trials=5, base_seed=1300, C=0.09, kappa=0.04,
+    )
+    listed = {
+        "function": str(config.function),
+        "d": config.d,
+        "sigma": config.sigma,
+        "n_sweep": list(config.n_sweep),
+        "methods": list(config.methods),
+        "trials": config.trials,
+        "base_seed": config.base_seed,
+        "C": config.C,
+        "kappa": config.kappa,
+        "graph_radius": config.graph_radius,
+    }
+    cfg = McSummary(config, ()).to_report()["config"]
+    assert cfg == listed and list(cfg) == list(listed)
 
 
 def test_mc_config_sweep_sizes_are_perfect_powers():

@@ -6,10 +6,9 @@ import pytest
 from conftest import box_sums_brute, random_mod1_field
 from modrec import knn
 from modrec.circle import circle_arg, mod1, wrap_distance
-from modrec.grid import GridField, UniformGrid, iter_lex, knn_set
+from modrec.grid import GridField, UniformGrid, iter_lex, knn_radius, knn_set
 from modrec.knn import (
     RiskBoundInputs,
-    bernstein_tail_bound,
     choose_k_expected_risk,
     choose_k_practical,
     choose_k_sup_norm,
@@ -187,6 +186,19 @@ def test_denoise_validates_input():
         denoise(f, 5)
     with pytest.raises(ValueError):
         denoise(GridField(grid, np.zeros(4), kind="real"), 1)
+
+
+def test_queries_reject_nan_and_infinite_coordinates():
+    field = GridField(UniformGrid(2, 5), np.zeros((5, 5)), kind="mod1")
+    for bad in (np.nan, np.inf, -np.inf):
+        for x in ((bad, 0.5), (0.5, bad)):
+            for query in (knn_set, knn_radius):
+                with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
+                    query(field.grid, x, 2)
+            with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
+                circle_estimate(field, 2, x)
+    with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
+        knn_set(UniformGrid(1, 5), (np.nan,), 2)
 
 
 def test_circle_estimate_matches_full_field_denoise():
@@ -367,17 +379,6 @@ def test_embedded_noise_mean_shrinkage():
     for part in (np.real, np.imag):
         se = part(z).std(ddof=1) / math.sqrt(trials)
         assert abs(part(z).mean() - part(target)) < 5 * se
-
-
-def test_bernstein_tail_oracle():
-    # 20 uniform draws on [-a, a]: K = a, total variance 20 a^2 / 3.
-    rng = np.random.default_rng(27)
-    a = 0.0866
-    sums = rng.uniform(-a, a, size=(100_000, 20)).sum(axis=1)
-    var_sum = 20 * a ** 2 / 3
-    for t in (0.1, 0.2, 0.5):
-        empirical = np.mean(np.abs(sums) >= t)
-        assert empirical <= bernstein_tail_bound(t, a, var_sum)
 
 
 def test_pointwise_risk_below_bound_small_mc():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import random_planted
 from modrec.circle import mod1
 from modrec.grid import GridField, UniformGrid
 from modrec.grid import mesh_points
-from modrec.harness import PlantedFunction, random_planted
+from modrec.harness import PlantedFunction
 from modrec.unwrap import branch_correct, itoh_check, unwrap_1d, unwrap_multid
 
 

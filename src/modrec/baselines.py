@@ -6,14 +6,16 @@ i.e. solves (I + lam*L) g = z.  The sphere relaxation keeps only the aggregate
 constraint ||g||^2 = n, whose stationarity system is (lam*L + mu*I) g = z with
 a positive multiplier mu fixed by the norm constraint; mu is found by
 bisection on the strictly decreasing secular function
-phi(mu) = ||(lam*L + mu*I)^{-1} z||^2 - n.
+phi(mu) = ||(lam*L + mu*I)^{-1} z||^2 - n.  The graph is connected, so the
+null space of L is span(1): the constant mode mean(z)/mu of the solution is
+exact, and the root is bracketed in closed form by [|mean(z)|, ||z||/sqrt(n)].
 
 Inner systems are Hermitian positive definite and solved by plain conjugate
 gradients (the graphs here are sparse paths and neighborhoods).  Both methods
 return the solution projected entrywise onto the circle, alongside the raw
-minimizer.  A sphere problem whose secular function has no positive root (z
-orthogonal to the smallest eigenspace) raises HardCaseError rather than
-perturbing the data silently.
+minimizer.  A sphere problem whose secular function has no positive root
+(mean(z) = 0 to rounding and ||(lam*L)^+ z||^2 <= n) raises HardCaseError
+rather than perturbing the data silently.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class TrsResult:
     mu: float
     norm_sq: float
     stationarity_inf: float
-    bisect_iterations: int
+    bisect_iterations: int  # secular evaluations after the first
+    cg_iterations: int  # CG iterations of every inner solve, hard-case check included
 
 
 def solve_trs(
@@ -120,9 +123,16 @@ def solve_trs(
 ) -> TrsResult:
     """Sphere-constrained smoothing via bisection on the secular function.
 
-    Finds mu > 0 with ||(lam*L + mu*I)^{-1} z||^2 = n, growing a geometric
-    bracket from mu = ||z||/sqrt(n) and bisecting until the norm defect is
-    within bisect_tol * n.  Raises HardCaseError when no positive root exists.
+    Finds mu > 0 with ||g||^2 = n for g = (lam*L + mu*I)^{-1} z.  L has null
+    space span(1) (the graph is connected), so the constant part c = mean(z)
+    of z maps exactly to c/mu, and CG solves only for z - c, re-centred to
+    mean 0 so that rounding drift along 1 cannot build up.  The root lies in
+    [|c|, ||z||/sqrt(n)]: at |c| the constant part alone has norm^2 n, and
+    ||g|| <= ||z||/mu.  Bisection starts at the upper end and stops once the
+    norm defect is within bisect_tol * n; a midpoint equal to an endpoint
+    raises NumericError.  |c| <= n*eps (the rounding of a sum of n unit
+    entries) counts as c = 0; then phi(0+) = ||(lam*L)^+ (z - c)||^2 - n, and
+    HardCaseError is raised when that is not positive.
 
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
@@ -139,76 +149,56 @@ def solve_trs(
             norm_sq=float(n),
             stationarity_inf=0.0,
             bisect_iterations=0,
+            cg_iterations=0,
         )
 
-    def solve_for(mu, x0=None):
+    c = complex(np.mean(z))
+    w = z - c
+    if abs(c) <= n * np.finfo(float).eps:
+        c = 0.0
+    cg_iters = 0
+
+    def centred_solve(mu, x0=None):
+        nonlocal cg_iters
+
         def apply_A(v):
             return lam * laplacian_apply(graph, v) + mu * v
 
-        x, _, _ = conjugate_gradient(apply_A, z, TRS_CG_TOL, 10 * max(n, 50), x0=x0)
-        return x
+        x, _, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, 10 * max(n, 50), x0=x0)
+        cg_iters += iters
+        return x - np.mean(x)
 
-    def phi(g):
-        return float(np.real(np.vdot(g, g))) - n
+    if c == 0.0:
+        x = centred_solve(0.0)
+        if float(np.real(np.vdot(x, x))) <= n:
+            raise HardCaseError("no positive multiplier: mean(z) = 0 and ||(lam L)^+ z||^2 <= n")
 
-    mu = float(np.linalg.norm(z) / np.sqrt(n))
-    if mu <= 0.0:
-        raise ValueError("z must be nonzero")
-    g = solve_for(mu)
-    iters = 0
-    if abs(phi(g)) <= bisect_tol * n:
-        mu_final, g_final = mu, g
-    else:
-        if phi(g) > 0.0:
-            lo, g_lo = mu, g
-            hi = 2.0 * mu
-            g_hi = solve_for(hi, x0=g)
-            while phi(g_hi) > 0.0:
-                lo, g_lo = hi, g_hi
-                hi *= 2.0
-                if hi > 1e18:
-                    raise NumericError("secular bracket grew without sign change")
-                g_hi = solve_for(hi, x0=g_hi)
+    lo, hi = abs(c), float(np.linalg.norm(z) / np.sqrt(n))
+    mu, x, iters = hi, None, 0
+    while True:
+        x = centred_solve(mu, x0=x)
+        g = x + c / mu
+        norm_sq = float(np.real(np.vdot(g, g)))
+        if abs(norm_sq - n) <= bisect_tol * n:
+            break
+        if norm_sq > n:
+            lo = mu
         else:
-            hi, g_hi = mu, g
-            lo = 0.5 * mu
-            g_lo = solve_for(lo, x0=g)
-            floor = 1e-14 * mu
-            while phi(g_lo) < 0.0:
-                hi, g_hi = lo, g_lo
-                lo *= 0.5
-                if lo < floor:
-                    raise HardCaseError(
-                        "no positive multiplier reaches the sphere: "
-                        "z is (numerically) orthogonal to the bottom eigenspace"
-                    )
-                g_lo = solve_for(lo, x0=g_lo)
-        mu_final, g_final = mu, g
-        for _ in range(200):
-            iters += 1
-            mid = 0.5 * (lo + hi)
-            g_mid = solve_for(mid, x0=g_final)
-            mu_final, g_final = mid, g_mid
-            val = phi(g_mid)
-            if abs(val) <= bisect_tol * n:
-                break
-            if val > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise NumericError("secular bisection did not reach tolerance")
+            hi = mu
+        mu = 0.5 * (lo + hi)
+        if not lo < mu < hi:
+            raise NumericError(f"secular bisection stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
+        iters += 1
 
-    stationarity = float(
-        np.max(np.abs(lam * laplacian_apply(graph, g_final) + mu_final * g_final - z))
-    )
+    stationarity = float(np.max(np.abs(lam * laplacian_apply(graph, g) + mu * g - z)))
     return TrsResult(
-        signal=np.asarray(project_to_circle(g_final)),
-        raw=g_final,
-        mu=mu_final,
-        norm_sq=float(np.real(np.vdot(g_final, g_final))),
+        signal=np.asarray(project_to_circle(g)),
+        raw=g,
+        mu=mu,
+        norm_sq=norm_sq,
         stationarity_inf=stationarity,
         bisect_iterations=iters,
+        cg_iterations=cg_iters,
     )
 
 

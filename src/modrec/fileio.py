@@ -14,6 +14,7 @@ for identical inputs: keys are sorted and float formatting is fixed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +76,14 @@ def read_header(path) -> GridFileHeader:
         try:
             d = int(fields["d"])
             m = int(fields["m"])
+            seed = int(fields["seed"]) if "seed" in fields else None
         except ValueError:
-            raise FormatError("d and m must be integers", line=1) from None
+            raise FormatError("d, m and seed must be integers", line=1) from None
+        if d < 1 or m < 2:
+            raise FormatError(f"need d >= 1 and m >= 2, got d={d} m={m}", line=1)
         kind = fields["kind"]
         if kind not in ("mod1", "real"):
             raise FormatError(f"unknown kind {kind!r}", line=1)
-        seed = int(fields["seed"]) if "seed" in fields else None
         meta = {}
         lineno = 1
         for line in fh:
@@ -126,6 +129,8 @@ def read_field(path) -> GridField:
                 raise FormatError(
                     f"mod1 value {value!r} outside [0, 1)", line=lineno
                 )
+            if not math.isfinite(value):
+                raise FormatError(f"real value {value!r} is not finite", line=lineno)
             values[rows] = value
             rows += 1
     if rows != grid.n:

@@ -58,7 +58,6 @@ def keyed_normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Test functions
 
-LIPSCHITZ_EXAMPLE1 = 4.0 * np.pi
 # sup of |4 cos^2(2 pi x) - (8 pi x + 4 pi) sin(4 pi x)| over [0,1]
 LIPSCHITZ_EXAMPLE2 = 36.787238184208784
 
@@ -118,21 +117,21 @@ class SyntheticSpec:
             raise ValueError("sigma must be >= 0")
 
     def resolve(self):
-        """(callable on (..., d) arrays, Lipschitz constant or None)."""
+        """Callable on (..., d) arrays."""
         if self.function == "example1":
             if self.d != 1:
                 raise ValueError("example1 is univariate")
-            return (lambda p: example1(p[..., 0])), LIPSCHITZ_EXAMPLE1
+            return lambda p: example1(p[..., 0])
         if self.function == "example2":
             if self.d != 1:
                 raise ValueError("example2 is univariate")
-            return (lambda p: example2(p[..., 0])), LIPSCHITZ_EXAMPLE2
+            return lambda p: example2(p[..., 0])
         if isinstance(self.function, PlantedFunction):
             if self.function.d != self.d:
                 raise ValueError("planted function dimension mismatch")
-            return self.function, self.function.lipschitz
+            return self.function
         if callable(self.function):
-            return self.function, None
+            return self.function
         raise ValueError(f"unknown function spec {self.function!r}")
 
 
@@ -146,7 +145,7 @@ class SyntheticData:
 def generate(spec: SyntheticSpec) -> SyntheticData:
     """Sample truth = f on the grid and noisy_mod = (truth + noise) mod 1."""
     grid = UniformGrid(d=spec.d, m=spec.m)
-    func, _ = spec.resolve()
+    func = spec.resolve()
     truth = np.asarray(func(mesh_points(grid)), dtype=float)
     if truth.shape != grid.shape:
         raise ValueError("function did not evaluate to one value per grid point")
@@ -281,13 +280,12 @@ def _axis_points(n: int, d: int) -> int:
     return m
 
 
-def _method_ghat(method: str, data: SyntheticData, config: McConfig) -> tuple:
-    """Denoised mod-1 field for one method; returns (field, extras dict)."""
+def _method_ghat(method: str, data: SyntheticData, config: McConfig) -> GridField:
+    """Denoised mod-1 field for one method."""
     grid = data.noisy_mod.grid
     if method == "knn":
         k = choose_k_practical(grid.n, d=grid.d, C=config.C)
-        den = denoise(data.noisy_mod, k)
-        return den.ghat, {"k": k, "zero_resultants": den.zero_resultants}
+        return denoise(data.noisy_mod, k).ghat
     lam = baselines.lambda_schedule(config.kappa, grid.n)
     graph = path_graph(grid.n) if grid.d == 1 else grid_graph(grid.d, grid.m, config.graph_radius)
     z = np.exp(2j * np.pi * data.noisy_mod.flat)
@@ -295,12 +293,11 @@ def _method_ghat(method: str, data: SyntheticData, config: McConfig) -> tuple:
         result = baselines.solve_ucqp(z, graph, lam)
     else:
         result = baselines.solve_trs(z, graph, lam)
-    ghat = GridField.from_flat(grid, np.asarray(circle_arg(result.signal)), kind="mod1")
-    return ghat, {"lambda": lam}
+    return GridField.from_flat(grid, np.asarray(circle_arg(result.signal)), kind="mod1")
 
 
 def run_trial(method: str, data: SyntheticData, config: McConfig) -> TrialResult:
-    ghat, _ = _method_ghat(method, data, config)
+    ghat = _method_ghat(method, data, config)
     unw = unwrap_multid(ghat)
     return metrics(
         unw.field, ghat, data.noisy_mod, data.truth, method=method, seed=data.spec.seed
@@ -494,8 +491,8 @@ def elevation_demo(
     noisy = GridField(grid, np.asarray(mod1(truth_values + noise)), kind="mod1")
 
     steps = max(
-        float(np.max(np.abs(np.diff(truth_values, axis=0)))) if m > 1 else 0.0,
-        float(np.max(np.abs(np.diff(truth_values, axis=1)))) if m > 1 else 0.0,
+        float(np.max(np.abs(np.diff(truth_values, axis=0)))),
+        float(np.max(np.abs(np.diff(truth_values, axis=1)))),
     )
     lipschitz_est = steps * (m - 1)
     if lipschitz_est > 0.0:

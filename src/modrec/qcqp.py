@@ -98,17 +98,20 @@ class SolveReport:
 def _descend(problem, g0, tol):
     g = np.asarray(g0, dtype=complex).copy()
     fg = objective(problem, g)
-    eta_safe = 0.5 / (1.0 + 4.0 * problem.lam * problem.graph.max_degree)
+    lam_delta = problem.lam * problem.graph.max_degree
+    eta_safe = 0.5 / (1.0 + 4.0 * lam_delta)
+    # Below this the sufficient-decrease test is not resolvable in binary64:
+    # F sums lam*g^*Lg and -2Re(g^*z), bounded on the torus by 2n*lam*Delta
+    # and 2n, so their rounding stays in F when they cancel.  Near a minimum
+    # the step still shrinks the gradient, so accept any step that does not
+    # measurably increase F.
+    noise = 1e-15 * (1.0 + 2.0 * g.size * (1.0 + lam_delta))
     eta_first = eta_safe
     it = backtracks = 0
     grad = riemannian_grad(problem, g)
-    gn = float(np.max(np.abs(grad))) if g.size else 0.0
+    gn = float(np.max(np.abs(grad)))
     while gn > tol and it < MAX_ITER:
         gsq = float(np.sum(np.abs(grad) ** 2))
-        # Below this the sufficient-decrease test is not resolvable in
-        # binary64; near a minimum the step still shrinks the gradient, so
-        # accept any step that does not measurably increase F.
-        noise = 1e-15 * (1.0 + abs(fg))
         eta = eta_first
         g_new = f_new = None
         accepted = False

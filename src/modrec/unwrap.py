@@ -127,8 +127,7 @@ def unwrap_multid(ghat: GridField) -> UnwrapResult:
         g_face = g[sel]
         corr, counts = _branch_correct_array(np.diff(g_face, axis=j))
         parts.append(counts)
-        if corr.size:
-            max_step = max(max_step, float(np.max(np.abs(corr))))
+        max_step = max(max_step, float(np.max(np.abs(corr))))
         root = np.take(ft[sel], [0], axis=j)
         ft[sel] = np.concatenate([root, root + np.cumsum(corr, axis=j)], axis=j)
     return UnwrapResult(

@@ -234,6 +234,44 @@ def dense_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 1e-7
     )
 
 
+def trs_dense(graph, z, lam: float) -> np.ndarray:
+    """Slow-path oracle for baselines.solve_trs: the g with (lam L + mu I) g = z,
+    mu > 0 and ||g||^2 = n, from a dense eigendecomposition of L.
+
+    In the eigenbasis ||g(mu)||^2 = sum_k |c_k|^2 / (lam w_k + mu)^2 with
+    c = V^* z, strictly decreasing in mu.  A connected graph has the simple
+    bottom eigenpair (0, 1/sqrt(n)), which is set exactly: near the hard
+    case the constant mode carries almost all of g, and the rounding of the
+    computed eigenvector would show in it.  The root is bracketed by
+    doubling and halving from mu = 1 and bisected to floating-point
+    resolution.
+    """
+    w, V = np.linalg.eigh(graph.laplacian())
+    w[0] = 0.0
+    V[:, 0] = 1.0 / np.sqrt(graph.n)
+    c = V.conj().T @ np.asarray(z, dtype=complex)
+    power = np.abs(c) ** 2
+    stiffness = lam * w
+    n = graph.n
+
+    def excess(mu):
+        return float(np.sum(power / (stiffness + mu) ** 2)) - n
+
+    lo = hi = 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    while excess(lo) < 0.0:
+        lo *= 0.5
+        assert lo > 1e-300, "sphere relaxation has no positive multiplier"
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return V @ (c / (stiffness + 0.5 * (lo + hi)))
+
+
 def random_planted(d: int, rng: np.random.Generator, max_freq: int = 3) -> PlantedFunction:
     amps = tuple(rng.uniform(-1.0, 1.0, size=d))
     freqs = tuple(int(f) for f in rng.integers(1, max_freq + 1, size=d))

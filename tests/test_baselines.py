@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import trs_dense
+from modrec import baselines
 from modrec.baselines import HardCaseError, lambda_schedule, solve_trs, solve_ucqp
-from modrec.graphs import path_graph, quadratic_form
+from modrec.graphs import grid_graph, path_graph, quadratic_form
 from modrec.qcqp import QcqpProblem, objective, solve_qcqp
 
 TWO_PI = 2.0 * np.pi
@@ -105,6 +107,74 @@ def test_trs_hard_case_raises():
     z = np.array([1.0 + 0j, -1.0 + 0j])  # orthogonal to the constant null vector
     with pytest.raises(HardCaseError):
         solve_trs(z, path_graph(2), 1.0)
+
+
+def _alternating(shape):
+    """Graph and (-1)^(sum of the multi-index) on it: a path's alternating
+    signal or a grid's checkerboard.  Its constant component is exactly 0."""
+    graph = path_graph(shape[0]) if len(shape) == 1 else grid_graph(len(shape), shape[0])
+    parity = np.indices(shape).sum(axis=0).reshape(-1) % 2
+    return graph, np.where(parity == 0, 1.0, -1.0).astype(complex)
+
+
+@pytest.mark.parametrize("shape, lam", [((64,), 50.0), ((256,), 100.0), ((8, 8), 50.0), ((16, 16), 20.0)])
+def test_trs_near_hard_case(shape, lam):
+    # The last entry turned by 1e-6 rad leaves a constant component of about
+    # 1e-6/n: the root mu* is that small, and the constant mode carries
+    # almost the whole solution.
+    graph, z = _alternating(shape)
+    z[-1] *= np.exp(1e-6j)
+    r = solve_trs(z, graph, lam)
+    n = graph.n
+    assert abs(r.norm_sq - n) <= 1e-10 * n
+    assert 0.0 < r.mu < 1e-6
+    assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-8
+
+
+def test_trs_zero_constant_component():
+    # z = (-1)^j on 8 nodes has mean exactly 0 and ||(lam L)^+ z||^2 = 12/lam^2:
+    # a root exists for lam = 0.1 (1200 > 8) and none for lam = 2 (3 <= 8).
+    graph, z = _alternating((8,))
+    assert np.sum(z) == 0.0
+    r = solve_trs(z, graph, 0.1)
+    assert abs(r.norm_sq - 8.0) <= 1e-10 * 8
+    assert np.max(np.abs(r.raw - trs_dense(graph, z, 0.1))) <= 1e-9
+    with pytest.raises(HardCaseError):
+        solve_trs(z, graph, 2.0)
+
+
+def test_trs_matches_dense_oracle_sweep():
+    # Paths of 3-100 nodes and 3x3-10x10 grids alternately, lam in [0.05, 20].
+    rng = np.random.default_rng(88)
+    for k in range(60):
+        graph = path_graph(int(rng.integers(3, 101))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 11)))
+        lam = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        z = _random_torus(rng, graph.n)
+        r = solve_trs(z, graph, lam)
+        assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n, k
+        assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9, k
+
+
+def test_trs_counts_every_cg_iteration(monkeypatch):
+    counted = []
+    inner = baselines.conjugate_gradient
+
+    def counting(*args, **kwargs):
+        x, res, iters = inner(*args, **kwargs)
+        counted.append(iters)
+        return x, res, iters
+
+    monkeypatch.setattr(baselines, "conjugate_gradient", counting)
+    rng = np.random.default_rng(89)
+    graph = path_graph(30)
+    r = solve_trs(_random_torus(rng, 30), graph, 2.0)
+    assert r.cg_iterations == sum(counted) > 0
+    assert r.bisect_iterations == len(counted) - 1  # secular evaluations after the first
+    counted.clear()
+    graph, z = _alternating((30,))
+    r = solve_trs(z, graph, 0.01)  # mean 0: one singular solve first
+    assert r.cg_iterations == sum(counted) and r.bisect_iterations == len(counted) - 2
+    assert solve_trs(z, graph, 0.0).cg_iterations == 0
 
 
 def test_methods_are_reproducible():

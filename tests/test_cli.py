@@ -86,6 +86,15 @@ def test_malformed_field_exits_2(tmp_path, capsys):
     assert code == 2 and "data error" in err
 
 
+def test_bad_header_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.gf"
+    bad.write_text("#GRIDFIELD v1 d=1 m=1 kind=mod1\n1,0.1\n")
+    code, _, err = run(
+        capsys, "unwrap", "--in", str(bad), "--out", str(tmp_path / "o.gf")
+    )
+    assert code == 2 and "data error: line 1:" in err
+
+
 def test_trs_hard_case_exits_3(tmp_path, capsys):
     z = tmp_path / "z.gf"
     z.write_text("#GRIDFIELD v1 d=1 m=2 kind=mod1\n1,0\n2,0.5\n")

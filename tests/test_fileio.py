@@ -61,6 +61,24 @@ def test_field_header_errors(tmp_path):
         read_field(p)  # out of lexicographic order
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_real_value_names_its_line(tmp_path, value):
+    p = tmp_path / "bad.gf"
+    p.write_text(f"#GRIDFIELD v1 d=1 m=3 kind=real\n#meta a=1\n1,0.5\n2,{value}\n3,0.0\n")
+    with pytest.raises(FormatError) as err:
+        read_field(p)
+    assert err.value.line == 4 and "not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("header", ["d=1 m=3 kind=real seed=x", "d=1 m=1 kind=real", "d=0 m=3 kind=real"])
+def test_bad_header_values_name_line_1(tmp_path, header):
+    p = tmp_path / "bad.gf"
+    p.write_text(f"#GRIDFIELD v1 {header}\n1,0.5\n")
+    with pytest.raises(FormatError) as err:
+        read_field(p)
+    assert err.value.line == 1
+
+
 def test_elevation_reader(tmp_path):
     p = tmp_path / "elev.txt"
     p.write_text("1 2\n3 4\n")

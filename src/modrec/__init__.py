@@ -12,7 +12,6 @@ from .certificate import (
     apriori_tightness_conditions,
     dual_certificate,
     empirical_tightness_condition,
-    lift_gram,
     lift_matrix,
     linf_error_bound,
     schur_block,

@@ -73,10 +73,12 @@ class UcqpResult:
     iterations: int
 
 
-def _check_unit_signal(z) -> np.ndarray:
+def _check_inputs(z, lam: float) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
         raise ValueError("z must be a unit-modulus (circle-embedded) signal")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     return z
 
 
@@ -85,9 +87,7 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-1
 
     lam = 0 is the identity system: z itself is returned, exactly.
     """
-    z = _check_unit_signal(z)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    z = _check_inputs(z, lam)
     if lam == 0.0:
         return UcqpResult(signal=z.copy(), raw=z.copy(), residual_inf=0.0, iterations=0)
 
@@ -137,9 +137,7 @@ def solve_trs(
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
     """
-    z = _check_unit_signal(z)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    z = _check_inputs(z, lam)
     n = graph.n
     if lam == 0.0:
         return TrsResult(
@@ -204,6 +202,6 @@ def solve_trs(
 
 def lambda_schedule(kappa: float, n: int) -> float:
     """Smoothing weight schedule kappa * n^(10/12), increasing in n."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError("kappa must be finite and positive")
     return float(kappa * n ** (10.0 / 12.0))

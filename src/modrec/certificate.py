@@ -53,12 +53,6 @@ def lift_matrix(lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
     return T
 
 
-def lift_gram(g: np.ndarray) -> np.ndarray:
-    """Rank-one feasible point gt gt^* with gt = (g; 1)."""
-    gt = np.concatenate([np.asarray(g, dtype=complex), [1.0 + 0.0j]])
-    return np.outer(gt, np.conj(gt))
-
-
 def dual_certificate(ghat: np.ndarray, lam: float, L: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S = T - Re(diag(T gt gt^*)) built densely from the definition."""
     T = lift_matrix(lam, L, z)

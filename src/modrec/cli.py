@@ -1,8 +1,16 @@
 """Command-line front end.
 
 Every command is a thin adapter over the library: identical parameters give
-identical results to direct calls.  Exit codes: 0 success, 1 usage error,
-2 data/format error, 3 numeric failure (e.g. a sphere-relaxation hard case).
+identical results to direct calls.  A flag that mirrors a library parameter
+has no default of its own: an omitted flag is not passed, so the library
+default applies.  --tol is the stopping tolerance of the solver the command
+runs: the Riemannian gradient sup norm for qcqp and certify, the relative
+conjugate-gradient residual for ucqp, and the relative norm defect
+|(||g||^2 - n)/n| of the secular bisection for trs.
+
+Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
+is reported before any file is read), 2 data/format error, 3 numeric failure
+(e.g. a sphere-relaxation hard case).
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import sys
 import numpy as np
 
 from . import baselines, certificate, fileio, harness, interpolate, knn, qcqp, unwrap
-from .circle import circle_arg
+from .circle import circle_arg, circle_embed
 from .graphs import grid_graph, path_graph
 from .grid import GridField
 
@@ -28,29 +36,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+def _csv(cast):
+    """Parser of a comma-separated list whose items cast converts."""
+
+    def parse(text: str):
+        try:
+            return tuple(cast(tok) for tok in text.split(",") if tok)
+        except ValueError:
+            raise UsageError(f"expected comma-separated {cast.__name__}s, got {text!r}") from None
+
+    return parse
 
 
-def _float_list(text: str):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+def _graph_radius(spec: str):
+    """--graph value: None for the path graph, the radius r of knn-grid:<r>."""
+    if spec == "path":
+        return None
+    if spec.startswith("knn-grid:"):
+        try:
+            return int(spec.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad graph radius in {spec!r}") from None
+    raise UsageError(f"unknown graph {spec!r} (use path or knn-grid:<r>)")
+
+
+def _given(**params) -> dict:
+    """The keyword arguments whose flags were set: an omitted flag is None and
+    is left out, so the library default applies."""
+    return {name: value for name, value in params.items() if value is not None}
+
+
+_SOLVERS = {
+    "qcqp": "torus denoiser on the circle-embedded field",
+    "ucqp": "unconstrained relaxation on the circle-embedded field",
+    "trs": "sphere relaxation on the circle-embedded field",
+    "certify": "torus denoiser and its tightness verdict",
+}
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="modrec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        return cmd
-
-    g = add("gen", "generate synthetic noisy mod-1 samples")
+    g = sub.add_parser("gen", help="generate synthetic noisy mod-1 samples")
     g.add_argument("--func", choices=["example1", "example2"], required=True)
     g.add_argument("--d", type=int, default=1)
     g.add_argument("--m", type=int, required=True)
@@ -59,69 +87,64 @@ def _build_parser() -> _Parser:
     g.add_argument("--out", required=True)
     g.add_argument("--truth-out")
 
-    d = add("denoise", "kNN circle denoising of a mod-1 field")
+    d = sub.add_parser("denoise", help="kNN circle denoising of a mod-1 field")
     _add_k_flags(d)
     d.add_argument("--in", dest="inp", required=True)
     d.add_argument("--out", required=True)
 
-    u = add("unwrap", "sequential unwrapping of a mod-1 field")
+    u = sub.add_parser("unwrap", help="sequential unwrapping of a mod-1 field")
     u.add_argument("--in", dest="inp", required=True)
     u.add_argument("--out", required=True)
 
-    r = add("recover", "denoise then unwrap (the full pipeline)")
+    r = sub.add_parser("recover", help="denoise then unwrap (the full pipeline)")
     _add_k_flags(r)
     r.add_argument("--in", dest="inp", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--ghat-out")
 
-    i = add("interp", "evaluate the multilinear interpolant of a real field")
+    i = sub.add_parser("interp", help="evaluate the multilinear interpolant of a real field")
     i.add_argument("--in", dest="inp", required=True)
     i.add_argument("--at", action="append", default=[], help="comma-separated point, repeatable")
     i.add_argument("--resample", type=int, help="evaluate on a finer m-per-axis grid")
     i.add_argument("--out", help="output field for --resample")
 
-    for name in ("qcqp", "ucqp", "trs"):
-        c = add(name, f"{name} denoiser on the circle-embedded field")
+    for name, help_text in _SOLVERS.items():
+        c = sub.add_parser(name, help=help_text)
         c.add_argument("--in", dest="inp", required=True)
-        c.add_argument("--graph", default="path")
+        c.add_argument("--graph", type=_graph_radius, default="path",
+                       help="path or knn-grid:<r>")
         c.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        c.add_argument("--tol", type=float, default=None,
-                       help="solver tolerance (gradient norm / CG residual / secular defect)")
-        c.add_argument("--out")
+        c.add_argument("--tol", type=float, help="solver stopping tolerance (see modrec --help)")
+        c.add_argument("--out", help="JSON report" if name == "certify" else "denoised mod-1 field")
 
-    ce = add("certify", "solve the torus denoiser and report the tightness verdict")
-    ce.add_argument("--in", dest="inp", required=True)
-    ce.add_argument("--graph", default="path")
-    ce.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    ce.add_argument("--tol", type=float, default=None)
-    ce.add_argument("--out")
-
-    mc = add("mc", "Monte Carlo sweep over n and methods")
-    mc.add_argument("--func", choices=["example1", "example2"], default="example1")
-    mc.add_argument("--d", type=int, default=1)
-    mc.add_argument("--sigma", type=float, default=0.12)
-    mc.add_argument("--n-sweep", type=_int_list, default=(250, 1000, 4000))
-    mc.add_argument("--methods", default="knn")
-    mc.add_argument("--trials", type=int, default=50)
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--C", type=float, default=0.09)
-    mc.add_argument("--kappa", type=float, default=0.04)
+    mc = sub.add_parser("mc", help="Monte Carlo sweep over n and methods")
+    mc.add_argument("--func", choices=["example1", "example2"])
+    mc.add_argument("--d", type=int)
+    mc.add_argument("--sigma", type=float)
+    mc.add_argument("--n-sweep", type=_csv(int))
+    mc.add_argument("--methods", type=_csv(str))
+    mc.add_argument("--trials", type=int)
+    mc.add_argument("--seed", type=int)
+    mc.add_argument("--C", type=float)
+    mc.add_argument("--kappa", type=float)
     mc.add_argument("--out", help="JSON report path")
     mc.add_argument("--csv", help="plot-ready CSV path")
 
-    ra = add("rate", "fit the error-rate slope against log(log n / n)")
-    ra.add_argument("--ns", type=_int_list)
-    ra.add_argument("--errors", type=_float_list)
+    ra = sub.add_parser("rate", help="fit the error-rate slope against log(log n / n)")
+    ra.add_argument("--ns", type=_csv(int))
+    ra.add_argument("--errors", type=_csv(float))
     ra.add_argument("--report", help="mc JSON report to read instead of --ns/--errors")
     ra.add_argument("--method", default="knn")
     ra.add_argument("--metric", default="wrap_sup_denoised")
 
-    de = add("demo-elevation", "terrain recovery demo from a plain-text elevation grid")
+    de = sub.add_parser(
+        "demo-elevation", help="terrain recovery demo from a plain-text elevation grid"
+    )
     de.add_argument("--in", dest="inp", required=True)
-    de.add_argument("--scale", type=float, default=500.0)
-    de.add_argument("--sigma", type=float, default=0.1)
-    de.add_argument("--k", type=int, default=40)
-    de.add_argument("--seed", type=int, default=0)
+    de.add_argument("--scale", type=float)
+    de.add_argument("--sigma", type=float)
+    de.add_argument("--k", type=int)
+    de.add_argument("--seed", type=int)
     de.add_argument("--crop-square", action="store_true")
     de.add_argument("--out-dir", required=True)
     return p
@@ -134,7 +157,7 @@ def _add_k_flags(cmd):
         choices=["explicit", "expected", "supnorm", "practical"],
         default="explicit",
     )
-    cmd.add_argument("--C", type=float, default=0.09)
+    cmd.add_argument("--C", type=float)
     cmd.add_argument("--sigma", type=float, default=0.12)
     cmd.add_argument("--M", type=float, default=1.0)
 
@@ -153,19 +176,7 @@ def _choose_k(args, field: GridField) -> int:
         return knn.choose_k_expected_risk(d, args.sigma, args.M, n)
     if args.k_rule == "supnorm":
         return knn.choose_k_sup_norm(d, args.sigma, args.M, n).k
-    return knn.choose_k_practical(n, d=d, C=args.C)
-
-
-def _load_graph(spec: str, field: GridField):
-    if spec == "path":
-        return path_graph(field.grid.n)
-    if spec.startswith("knn-grid:"):
-        try:
-            radius = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad graph radius in {spec!r}") from None
-        return grid_graph(field.grid.d, field.grid.m, radius)
-    raise UsageError(f"unknown graph {spec!r} (use path or knn-grid:<r>)")
+    return knn.choose_k_practical(n, d=d, **_given(C=args.C))
 
 
 def _emit(payload: dict):
@@ -222,7 +233,7 @@ def _run(args) -> int:
         model = interpolate.fit(field)
         values = {}
         for spec in args.at:
-            x = _float_list(spec)
+            x = _csv(float)(spec)
             values[spec] = interpolate.evaluate(model, np.array(x))
         if args.resample:
             if not args.out:
@@ -236,19 +247,24 @@ def _run(args) -> int:
             _emit({"values": values})
         return 0
 
-    if args.command in ("qcqp", "ucqp", "trs", "certify"):
+    if args.command in _SOLVERS:
+        if not 0.0 <= args.lam < np.inf:
+            raise UsageError(f"--lambda must be a finite number >= 0, got {args.lam!r}")
+        if args.tol is not None and not 0.0 < args.tol < np.inf:
+            raise UsageError(f"--tol must be a finite number above 0, got {args.tol!r}")
         field = fileio.read_field(args.inp)
-        graph = _load_graph(args.graph, field)
-        z = np.exp(2j * np.pi * field.flat)
+        grid = field.grid
+        graph = path_graph(grid.n) if args.graph is None else grid_graph(grid.d, grid.m, args.graph)
+        z = circle_embed(field.flat)
         if args.command == "ucqp":
-            res = baselines.solve_ucqp(z, graph, args.lam, cg_tol=args.tol or 1e-12)
+            res = baselines.solve_ucqp(z, graph, args.lam, **_given(cg_tol=args.tol))
             signal, info = res.signal, {"residual_inf": res.residual_inf}
         elif args.command == "trs":
-            res = baselines.solve_trs(z, graph, args.lam, bisect_tol=args.tol or 1e-10)
+            res = baselines.solve_trs(z, graph, args.lam, **_given(bisect_tol=args.tol))
             signal, info = res.signal, {"mu": res.mu, "norm_sq": res.norm_sq}
         else:
             problem = qcqp.QcqpProblem(z=z, graph=graph, lam=args.lam)
-            report = qcqp.solve_qcqp(problem, tol=args.tol or 1e-9)
+            report = qcqp.solve_qcqp(problem, **_given(tol=args.tol))
             signal = report.ghat
             info = {
                 "objective": report.objective,
@@ -256,41 +272,41 @@ def _run(args) -> int:
                 "iterations": report.iterations,
                 "converged": report.converged,
             }
-            if args.command == "certify":
-                cert = certificate.tightness_verdict(problem, report.ghat)
-                info.update(
-                    {
-                        "tight": cert.tight,
-                        "indeterminate": cert.indeterminate,
-                        "schur_min_eig": cert.schur_min_eig,
-                        "threshold": cert.threshold,
-                    }
-                )
-                if args.out:
-                    fileio.write_report(args.out, info)
-                _emit(info)
-                return 0
-        if args.out:
-            ghat = GridField.from_flat(
-                field.grid, np.asarray(circle_arg(signal)), kind="mod1"
+        if args.command == "certify":
+            cert = certificate.tightness_verdict(problem, signal)
+            info.update(
+                {
+                    "tight": cert.tight,
+                    "indeterminate": cert.indeterminate,
+                    "schur_min_eig": cert.schur_min_eig,
+                    "threshold": cert.threshold,
+                }
             )
+            if args.out:
+                fileio.write_report(args.out, info)
+        elif args.out:
+            ghat = GridField.from_flat(grid, np.asarray(circle_arg(signal)), kind="mod1")
             fileio.write_field(args.out, ghat)
         _emit(info)
         return 0
 
     if args.command == "mc":
-        methods = tuple(tok for tok in args.methods.split(",") if tok)
-        config = harness.McConfig(
-            function=args.func,
-            d=args.d,
-            sigma=args.sigma,
-            n_sweep=args.n_sweep,
-            methods=methods,
-            trials=args.trials,
-            base_seed=args.seed,
-            C=args.C,
-            kappa=args.kappa,
-        )
+        try:
+            config = harness.McConfig(
+                **_given(
+                    function=args.func,
+                    d=args.d,
+                    sigma=args.sigma,
+                    n_sweep=args.n_sweep,
+                    methods=args.methods,
+                    trials=args.trials,
+                    base_seed=args.seed,
+                    C=args.C,
+                    kappa=args.kappa,
+                )
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         summary = harness.monte_carlo(config)
         if args.out:
             fileio.write_report(args.out, summary.to_report())
@@ -324,7 +340,7 @@ def _run(args) -> int:
 
         mat = fileio.read_elevation(args.inp, crop_square=args.crop_square)
         demo = harness.elevation_demo(
-            mat, scale=args.scale, sigma=args.sigma, k=args.k, seed=args.seed
+            mat, **_given(scale=args.scale, sigma=args.sigma, k=args.k, seed=args.seed)
         )
         os.makedirs(args.out_dir, exist_ok=True)
         for name, fld in (
@@ -334,7 +350,7 @@ def _run(args) -> int:
             ("unwrapped", demo.ftilde),
             ("unwrapped_raw", demo.ftilde_raw),
         ):
-            fileio.write_field(os.path.join(args.out_dir, f"{name}.gf"), fld, seed=args.seed)
+            fileio.write_field(os.path.join(args.out_dir, f"{name}.gf"), fld, seed=demo.seed)
         info = {
             "m": demo.truth.grid.m,
             "scale": demo.scale,

@@ -4,11 +4,12 @@ Grid fields are plain text with a one-line header
 
     #GRIDFIELD v1 d=<d> m=<m> kind=<kind> [seed=<int>]
 
-optionally followed by ``#meta <key>=<value>`` lines, then one line per grid
-point in lexicographic index order: the comma-separated 1-based index
-components, then the value printed with 17 significant digits (which
-round-trips binary64 exactly).  All writers emit deterministic byte streams
-for identical inputs: keys are sorted and float formatting is fixed.
+then one line per grid point in lexicographic index order: the
+comma-separated 1-based index components, then the value printed with 17
+significant digits (which round-trips binary64 exactly).  The reader also
+accepts ``#meta <key>=<value>`` lines after the header, which the writer
+never emits.  All writers emit deterministic byte streams for identical
+inputs: keys are sorted and float formatting is fixed.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ def _format_value(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_field(path, fld: GridField, seed: int | None = None, meta: dict | None = None) -> None:
-    if fld.kind not in ("mod1", "real"):
-        raise ValueError("only mod1 and real fields are serialized")
+def write_field(path, fld: GridField, seed: int | None = None) -> None:
     header = f"#GRIDFIELD v1 d={fld.grid.d} m={fld.grid.m} kind={fld.kind}"
     if seed is not None:
         header += f" seed={int(seed)}"
     lines = [header]
-    for key in sorted(meta or {}):
-        lines.append(f"#meta {key}={(meta or {})[key]}")
     for idx, value in zip(iter_lex(fld.grid), fld.flat):
         lines.append(",".join(str(i) for i in idx) + "," + _format_value(value))
     with open(path, "w", encoding="ascii") as fh:

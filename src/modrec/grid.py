@@ -78,8 +78,9 @@ def mesh_points(grid: UniformGrid) -> np.ndarray:
 class GridField:
     """Values on a uniform grid, one per multi-index, stored as an (m,)*d array.
 
-    kind is "real" (unconstrained floats), "mod1" (values in [0,1)) or
-    "complex" (unit-modulus entries).  Values are frozen after construction.
+    kind is "real" (finite floats) or "mod1" (values in [0,1)); complex
+    input is rejected rather than cast.  Values are frozen after
+    construction.
     """
 
     grid: UniformGrid
@@ -88,10 +89,9 @@ class GridField:
 
     def __post_init__(self):
         v = np.array(self.values, copy=True)
-        if self.kind == "complex":
-            v = v.astype(complex)
-        else:
-            v = v.astype(float)
+        if np.iscomplexobj(v):
+            raise ValueError("field values must be real")
+        v = v.astype(float)
         if v.shape != self.grid.shape:
             if v.size == self.grid.n:
                 v = v.reshape(self.grid.shape)
@@ -107,9 +107,6 @@ class GridField:
         elif self.kind == "real":
             if not np.all(np.isfinite(v)):
                 raise ValueError("real field must be finite")
-        elif self.kind == "complex":
-            if np.any(np.abs(np.abs(v) - 1.0) > 1e-9):
-                raise ValueError("complex field entries must have unit modulus")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
         v.setflags(write=False)

@@ -47,9 +47,9 @@ def keyed_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def keyed_normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Standard normals keyed by (seed, offset + draw index) via Box-Muller."""
-    idx = np.arange(offset, offset + n, dtype=np.uint64)
+def keyed_normals(seed: int, n: int) -> np.ndarray:
+    """Standard normals keyed by (seed, draw index) via Box-Muller."""
+    idx = np.arange(n, dtype=np.uint64)
     u1 = keyed_uniforms(seed, 2 * idx)
     u2 = keyed_uniforms(seed, 2 * idx + np.uint64(1))
     return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
@@ -484,11 +484,9 @@ def elevation_demo(
     if scale <= 0:
         raise ValueError("scale must be positive")
     m = mat.shape[0]
-    grid = UniformGrid(d=2, m=m)
     truth_values = mat / scale
-    truth = GridField(grid, truth_values, kind="real")
-    noise = sigma * keyed_normals(seed, grid.n).reshape(grid.shape)
-    noisy = GridField(grid, np.asarray(mod1(truth_values + noise)), kind="mod1")
+    data = generate(SyntheticSpec(lambda p: truth_values, d=2, m=m, sigma=sigma, seed=seed))
+    truth, noisy = data.truth, data.noisy_mod
 
     steps = max(
         float(np.max(np.abs(np.diff(truth_values, axis=0)))),

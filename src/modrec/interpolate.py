@@ -35,8 +35,6 @@ class InterpolantModel:
 
 def fit(ftilde: GridField) -> InterpolantModel:
     """Store grid samples for multilinear evaluation; linear in the input field."""
-    if ftilde.kind == "complex":
-        raise ValueError("interpolation expects a real-valued field")
     return InterpolantModel(grid=ftilde.grid, samples=ftilde.values)
 
 

@@ -40,8 +40,8 @@ class QcqpProblem:
             raise ValueError("signal length does not match graph size")
         if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
             raise ValueError("z must have unit-modulus entries")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
         z = z.copy()
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -138,7 +138,6 @@ def _descend(problem, g0, tol):
 
 def solve_qcqp(
     problem: QcqpProblem,
-    init: np.ndarray | None = None,
     tol: float = 1e-9,
     restarts: int = 0,
     seed: int = 0,
@@ -155,13 +154,12 @@ def solve_qcqp(
     starts at the Barzilai-Borwein step <s, s>/Re<s, y> (s the last step in
     g, y the change in the Riemannian gradient), floored at eta_safe.
     Backtracking halves the step until the Armijo sufficient decrease
-    holds, so the objective is monotone.  Default init is z itself (the
-    lam = 0 minimizer).  Optional random restarts rerun the descent from
-    uniform torus points and keep the best objective.  Non-convergence is
+    holds, so the objective is monotone.  The descent starts at z itself
+    (the lam = 0 minimizer).  Optional random restarts rerun the descent
+    from uniform torus points and keep the best objective.  Non-convergence is
     reported, never raised.
     """
-    g0 = problem.z if init is None else np.asarray(init, dtype=complex)
-    best = _descend(problem, g0, tol)
+    best = _descend(problem, problem.z, tol)
     if restarts:
         rng = np.random.default_rng(seed)
         for _ in range(restarts):

@@ -130,6 +130,12 @@ class KktReport:
         return self.diag_ones and self.x_psd and self.complementary and self.dual_structure and self.s_psd
 
 
+def lift_gram(g: np.ndarray) -> np.ndarray:
+    """Rank-one feasible point gt gt^* of the lifted problem, gt = (g; 1)."""
+    gt = np.concatenate([np.asarray(g, dtype=complex), [1.0 + 0.0j]])
+    return np.outer(gt, np.conj(gt))
+
+
 def kkt_check(X: np.ndarray, S: np.ndarray, T: np.ndarray, tol: float = 1e-8) -> KktReport:
     """Evaluate unit diagonal, X >= 0, S X = 0, S - T real diagonal, S >= 0.
 

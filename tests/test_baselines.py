@@ -198,3 +198,13 @@ def test_lambda_schedule():
     assert values[0] < values[1] < values[2]
     with pytest.raises(ValueError):
         lambda_schedule(0.0, 10)
+    for kappa in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            lambda_schedule(kappa, 10)
+
+
+@pytest.mark.parametrize("solve", [solve_ucqp, solve_trs])
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_relaxations_reject_bad_lam(solve, lam):
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        solve(np.ones(4, dtype=complex), path_graph(4), lam)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import dense_verdict, kkt_check
+from conftest import dense_verdict, kkt_check, lift_gram
 from modrec import certificate, linalg
 from modrec.certificate import (
     apriori_tightness_conditions,
     dual_certificate,
     empirical_tightness_condition,
-    lift_gram,
     lift_matrix,
     linf_error_bound,
     schur_block,
@@ -349,7 +348,7 @@ def test_verdict_decides_on_the_real_schur_block(monkeypatch):
         raise AssertionError("the verdict must not build the dense certificate")
 
     for owner, name in ((certificate, "lift_matrix"), (certificate, "dual_certificate"),
-                        (certificate, "lift_gram"), (linalg, "hermitian_eig"), (GraphSpec, "laplacian")):
+                        (linalg, "hermitian_eig"), (GraphSpec, "laplacian")):
         monkeypatch.setattr(owner, name, forbidden)
     seen = []
     eigvalsh = np.linalg.eigvalsh

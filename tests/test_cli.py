@@ -3,10 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from modrec.baselines import solve_trs, solve_ucqp
+from modrec.certificate import tightness_verdict
+from modrec.circle import circle_arg, circle_embed
 from modrec.cli import main
-from modrec.fileio import read_field, read_report
-from modrec.harness import SyntheticSpec, generate, run_pipeline
+from modrec.fileio import read_elevation, read_field, read_report, report_to_json, write_field
+from modrec.graphs import path_graph
+from modrec.grid import GridField
+from modrec.harness import McConfig, SyntheticSpec, elevation_demo, generate, monte_carlo, run_pipeline
 from modrec.knn import choose_k_practical
+from modrec.qcqp import QcqpProblem, solve_qcqp
 
 
 def run(capsys, *argv):
@@ -67,6 +73,112 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["qcqp", "ucqp", "trs", "certify"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "x"),
+        ("--lambda", "-1"), ("--lambda", "nan"), ("--lambda", "inf"),
+        ("--graph", "ring"), ("--graph", "knn-grid:x"),
+    ],
+)
+def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command, flags):
+    # The input file does not exist: a data error (exit 2) would mean it was read first.
+    code, out, err = run(capsys, command, "--in", str(tmp_path / "absent.gf"), *flags)
+    assert code == 1 and err.startswith("usage error") and not out
+
+
+@pytest.mark.parametrize(
+    "flags", [("--methods", "knn,bogus"), ("--d", "2", "--n-sweep", "10"), ("--n-sweep", "1")]
+)
+def test_mc_config_rejections_exit_1(capsys, flags):
+    code, out, err = run(capsys, "mc", *flags)
+    assert code == 1 and err.startswith("usage error") and not out
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _field_bytes(path, fld, seed=None) -> bytes:
+    write_field(path, fld, seed=seed)
+    return path.read_bytes()
+
+
+def test_omitted_flags_take_the_library_defaults(tmp_path, capsys):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    y = tmp_path / "y.gf"
+    code, _, _ = run(
+        capsys, "gen", "--func", "example1", "--d", "1", "--m", "300",
+        "--sigma", "0.12", "--seed", "7", "--out", str(y),
+    )
+    data = generate(SyntheticSpec(function="example1", d=1, m=300, sigma=0.12, seed=7))
+    assert code == 0 and y.read_bytes() == _field_bytes(lib / "y.gf", data.noisy_mod, seed=7)
+
+    f = tmp_path / "f.gf"
+    code, out, _ = run(capsys, "recover", "--in", str(y), "--k-rule", "practical", "--out", str(f))
+    k = choose_k_practical(300, d=1)
+    pipe = run_pipeline(data.noisy_mod, k)
+    assert code == 0 and f.read_bytes() == _field_bytes(lib / "f.gf", pipe.ftilde)
+    assert out == _json({"k": k, "itoh_margin": pipe.unwrap.itoh_margin})
+
+    # Solver commands without --tol.
+    z, graph, lam = circle_embed(data.noisy_mod.flat), path_graph(300), 0.05
+    problem = QcqpProblem(z=z, graph=graph, lam=lam)
+    rep = solve_qcqp(problem)
+    torus = {
+        "objective": rep.objective, "grad_inf_norm": rep.grad_inf_norm,
+        "iterations": rep.iterations, "converged": rep.converged,
+    }
+    uc, tr = solve_ucqp(z, graph, lam), solve_trs(z, graph, lam)
+    cert = tightness_verdict(problem, rep.ghat)
+    expected = {
+        "qcqp": (rep.ghat, torus),
+        "ucqp": (uc.signal, {"residual_inf": uc.residual_inf}),
+        "trs": (tr.signal, {"mu": tr.mu, "norm_sq": tr.norm_sq}),
+        "certify": (None, {
+            **torus, "tight": cert.tight, "indeterminate": cert.indeterminate,
+            "schur_min_eig": cert.schur_min_eig, "threshold": cert.threshold,
+        }),
+    }
+    for command, (signal, info) in expected.items():
+        dst = tmp_path / f"{command}.out"
+        code, out, _ = run(capsys, command, "--in", str(y), "--lambda", "0.05", "--out", str(dst))
+        assert code == 0 and out == _json(info), command
+        if signal is None:
+            assert dst.read_text() == report_to_json(info)
+        else:
+            ghat = GridField.from_flat(data.noisy_mod.grid, circle_arg(signal), kind="mod1")
+            assert dst.read_bytes() == _field_bytes(lib / f"{command}.gf", ghat), command
+
+    report, csv = tmp_path / "mc.json", tmp_path / "mc.csv"
+    code, out, _ = run(
+        capsys, "mc", "--n-sweep", "64,256", "--trials", "2", "--methods", "knn,ucqp,trs",
+        "--out", str(report), "--csv", str(csv),
+    )
+    summary = monte_carlo(McConfig(n_sweep=(64, 256), trials=2, methods=("knn", "ucqp", "trs")))
+    assert code == 0 and out == _json(summary.to_report())
+    assert report.read_text() == report_to_json(summary.to_report())
+    assert csv.read_text() == summary.to_csv()
+
+    terrain = tmp_path / "terrain.txt"
+    ax = np.linspace(-1, 1, 24)
+    cone = 700.0 * (1.0 - np.maximum(np.abs(ax[:, None]), np.abs(ax[None, :])))
+    terrain.write_text("\n".join(" ".join(f"{v:.6f}" for v in row) for row in cone) + "\n")
+    out_dir = tmp_path / "demo"
+    code, out, _ = run(capsys, "demo-elevation", "--in", str(terrain), "--out-dir", str(out_dir))
+    demo = elevation_demo(read_elevation(terrain))
+    doc = json.loads(out)
+    assert code == 0 and (doc["scale"], doc["sigma"], doc["k"]) == (demo.scale, demo.sigma, demo.k)
+    assert doc["denoised"]["aligned_mse"] == demo.metrics_denoised.aligned_mse
+    assert doc["raw"]["wrap_mse"] == demo.metrics_raw.wrap_mse_denoised
+    for name, fld in (("truth", demo.truth), ("noisy_mod", demo.noisy_mod), ("denoised_mod", demo.ghat),
+                      ("unwrapped", demo.ftilde), ("unwrapped_raw", demo.ftilde_raw)):
+        expect = _field_bytes(lib / f"{name}.gf", fld, seed=demo.seed)
+        assert (out_dir / f"{name}.gf").read_bytes() == expect, name
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -23,21 +23,30 @@ def test_field_round_trip(tmp_path):
             vals = rng.standard_normal(grid.shape) * 1e6
         f = GridField(grid, vals, kind=kind)
         path = tmp_path / f"field_{kind}.gf"
-        write_field(path, f, seed=7, meta={"note": "fixture"})
+        write_field(path, f, seed=7)
         back = read_field(path)
         assert back.kind == kind and back.grid == grid
         assert np.array_equal(back.values, f.values)  # bitwise round trip
         header = read_header(path)
-        assert header.seed == 7 and header.meta == {"note": "fixture"}
+        assert header.seed == 7 and header.meta == {}
 
 
 def test_field_deterministic_bytes(tmp_path):
     grid = UniformGrid(1, 4)
     f = GridField(grid, [0.1, 0.2, 0.3, 0.4], kind="mod1")
     p1, p2 = tmp_path / "a.gf", tmp_path / "b.gf"
-    write_field(p1, f, meta={"b": "2", "a": "1"})
-    write_field(p2, f, meta={"a": "1", "b": "2"})
-    assert p1.read_bytes() == p2.read_bytes()
+    write_field(p1, f)
+    write_field(p2, f, seed=3)
+    rows = "1,0.10000000000000001\n2,0.20000000000000001\n3,0.29999999999999999\n4,0.40000000000000002\n"
+    assert p1.read_bytes() == ("#GRIDFIELD v1 d=1 m=4 kind=mod1\n" + rows).encode("ascii")
+    assert p2.read_bytes() == ("#GRIDFIELD v1 d=1 m=4 kind=mod1 seed=3\n" + rows).encode("ascii")
+
+
+def test_reader_accepts_meta_lines(tmp_path):
+    p = tmp_path / "meta.gf"
+    p.write_text("#GRIDFIELD v1 d=1 m=2 kind=real seed=3\n#meta note=a=b\n#meta k=2\n1,0.5\n2,-1\n")
+    assert read_header(p).meta == {"note": "a=b", "k": "2"}
+    assert np.array_equal(read_field(p).values, [0.5, -1.0])
 
 
 def test_field_header_errors(tmp_path):

@@ -159,3 +159,12 @@ def test_gridfield_validation():
     assert f.values.shape == (4,)
     with pytest.raises(ValueError):
         f.values[0] = 9.0  # frozen storage
+
+
+@pytest.mark.parametrize("kind", ["real", "mod1"])
+def test_gridfield_rejects_complex_values(kind):
+    # Casting would keep the real parts and drop the imaginary ones.
+    with pytest.raises(ValueError, match="must be real"):
+        GridField(UniformGrid(1, 4), np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4])), kind=kind)
+    with pytest.raises(ValueError, match="must be real"):
+        GridField(UniformGrid(1, 2), np.array([0.5, 0.25], dtype=complex), kind=kind)

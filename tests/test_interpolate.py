@@ -104,6 +104,4 @@ def test_domain_errors():
         evaluate(model, np.array([1.2]))
     with pytest.raises(ValueError):
         evaluate(model, np.array([-0.1]))
-    with pytest.raises(ValueError):
-        fit(GridField(grid, np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4])), kind="complex"))
     assert evaluate(model, np.array([1.0])) == 0.0  # boundary included

@@ -157,6 +157,12 @@ def test_objective_examples():
     assert objective(prob2, np.array([1.0 + 0j, -1.0 + 0j])) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_problem_rejects_bad_lam(lam):
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        QcqpProblem(z=np.ones(3, dtype=complex), graph=path_graph(3), lam=lam)
+
+
 def test_two_objective_forms_agree():
     rng = np.random.default_rng(43)
     for _ in range(5):

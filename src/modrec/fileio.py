@@ -8,15 +8,27 @@ then one line per grid point in lexicographic index order: the
 comma-separated 1-based index components, then the value printed with 17
 significant digits (which round-trips binary64 exactly).  The reader also
 accepts ``#meta <key>=<value>`` lines after the header, which the writer
-never emits.  All writers emit deterministic byte streams for identical
-inputs: keys are sorted and float formatting is fixed.
+never emits, and skips blank lines and any other line that starts with
+``#``.  All writers emit deterministic byte streams for identical inputs:
+keys are sorted and float formatting is fixed.
+
+Fields are written and parsed in blocks of rows.  A file the block parse
+rejects is walked again one row at a time, and the reader raises the
+``FormatError`` of the first offending line, with its line number: the
+first line that has the wrong number of columns, lies beyond the n rows the
+header promises, does not parse as Python ``int`` indices and a ``float``
+value, carries an index out of lexicographic order, or holds a value
+outside [0, 1) (mod1) or not finite (real), checked in that order.  A file
+with too few rows raises without a line number.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,19 +52,32 @@ class GridFileHeader:
     meta: dict = field(default_factory=dict)
 
 
-def _format_value(v: float) -> str:
-    return format(float(v), ".17g")
+WRITE_BLOCK_ROWS = 4096  # rows formatted per write
+READ_BLOCK_BYTES = 65536  # size hint of each readlines block
+
+_ROW_TEMPLATE = "%s,%.17g\n"  # same bytes as format(value, ".17g")
+
+
+def _index_strings(grid: UniformGrid):
+    """The index part of every row, "i1,...,id", in lexicographic order."""
+    axis = [str(i) for i in range(1, grid.m + 1)]
+    if grid.d == 1:
+        return iter(axis)
+    return map(",".join, itertools.product(axis, repeat=grid.d))
 
 
 def write_field(path, fld: GridField, seed: int | None = None) -> None:
     header = f"#GRIDFIELD v1 d={fld.grid.d} m={fld.grid.m} kind={fld.kind}"
     if seed is not None:
         header += f" seed={int(seed)}"
-    lines = [header]
-    for idx, value in zip(iter_lex(fld.grid), fld.flat):
-        lines.append(",".join(str(i) for i in idx) + "," + _format_value(value))
+    indices = _index_strings(fld.grid)
+    flat = fld.flat
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, flat.size, WRITE_BLOCK_ROWS):
+            block = flat[start:start + WRITE_BLOCK_ROWS].tolist()
+            pairs = zip(itertools.islice(indices, len(block)), block)
+            fh.write(_ROW_TEMPLATE * len(block) % tuple(itertools.chain.from_iterable(pairs)))
 
 
 def read_header(path) -> GridFileHeader:
@@ -96,43 +121,84 @@ def read_header(path) -> GridFileHeader:
 def read_field(path) -> GridField:
     header = read_header(path)
     grid = UniformGrid(d=header.d, m=header.m)
-    values = np.empty(grid.n)
+    values = _parse_rows(path, grid, header.kind)
+    if values is None:
+        _raise_first_fault(path, grid, header.kind)
+    return GridField.from_flat(grid, values, kind=header.kind)
+
+
+def _parse_rows(path, grid: UniformGrid, kind: str) -> np.ndarray | None:
+    """The values of a well-formed file, parsed a block of lines at a time;
+    None if any data row fails a check of ``_check_row`` or the row count is
+    wrong.  Blank and ``#`` lines are skipped, as in the row walk."""
+    d, n = grid.d, grid.n
+    want = np.indices(grid.shape).reshape(d, n) + 1
+    values = np.empty(n)
+    row = 0
     with open(path, "r", encoding="ascii") as fh:
-        rows = 0
-        expected = iter(iter_lex(grid))
+        while lines := fh.readlines(READ_BLOCK_BYTES):
+            rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+            if not rows:
+                continue
+            r = len(rows)
+            if set(map(str.count, rows, itertools.repeat(","))) != {d}:
+                return None
+            tokens = ",".join(rows).split(",")
+            try:
+                block = np.fromiter(map(float, tokens[d::d + 1]), dtype=float, count=r)
+                del tokens[d::d + 1]
+                idx = np.fromiter(map(int, tokens), dtype=np.int64, count=r * d)
+            except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+                return None
+            # Rows past the n-th make the slice of want too short to compare equal.
+            if not np.array_equal(idx.reshape(r, d).T, want[:, row:row + r]):
+                return None
+            values[row:row + r] = block
+            row += r
+    if row != n:
+        return None
+    if kind == "mod1":
+        ok = np.all((values >= 0.0) & (values < 1.0))
+    else:
+        ok = np.all(np.isfinite(values))
+    return values if ok else None
+
+
+def _raise_first_fault(path, grid: UniformGrid, kind: str) -> NoReturn:
+    """Walk the data rows one at a time and raise the FormatError of the first
+    offending line; called only once the block parse has found a fault."""
+    rows = 0
+    expected = iter_lex(grid)
+    with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != grid.d + 1:
-                raise FormatError(
-                    f"expected {grid.d} index components and a value", line=lineno
-                )
-            if rows >= grid.n:
-                raise FormatError(f"more than {grid.n} data rows", line=lineno)
-            try:
-                idx = tuple(int(p) for p in parts[:-1])
-                value = float(parts[-1])
-            except ValueError:
-                raise FormatError(f"cannot parse row {line!r}", line=lineno) from None
-            want = next(expected)
-            if idx != want:
-                raise FormatError(
-                    f"index {idx} out of lexicographic order, expected {want}",
-                    line=lineno,
-                )
-            if header.kind == "mod1" and not 0.0 <= value < 1.0:
-                raise FormatError(
-                    f"mod1 value {value!r} outside [0, 1)", line=lineno
-                )
-            if not math.isfinite(value):
-                raise FormatError(f"real value {value!r} is not finite", line=lineno)
-            values[rows] = value
+            _check_row(line, lineno, rows, expected, grid, kind)
             rows += 1
-    if rows != grid.n:
-        raise FormatError(f"found {rows} data rows, header promises {grid.n}")
-    return GridField.from_flat(grid, values, kind=header.kind)
+    raise FormatError(f"found {rows} data rows, header promises {grid.n}")
+
+
+def _check_row(line: str, lineno: int, rows: int, expected, grid: UniformGrid, kind: str) -> None:
+    """The checks of one data row, in order; ``rows`` data rows precede it and
+    ``expected`` yields the index it must carry."""
+    parts = line.split(",")
+    if len(parts) != grid.d + 1:
+        raise FormatError(f"expected {grid.d} index components and a value", line=lineno)
+    if rows >= grid.n:
+        raise FormatError(f"more than {grid.n} data rows", line=lineno)
+    try:
+        idx = tuple(int(p) for p in parts[:-1])
+        value = float(parts[-1])
+    except ValueError:
+        raise FormatError(f"cannot parse row {line!r}", line=lineno) from None
+    want = next(expected)
+    if idx != want:
+        raise FormatError(f"index {idx} out of lexicographic order, expected {want}", line=lineno)
+    if kind == "mod1" and not 0.0 <= value < 1.0:
+        raise FormatError(f"mod1 value {value!r} outside [0, 1)", line=lineno)
+    if not math.isfinite(value):
+        raise FormatError(f"real value {value!r} is not finite", line=lineno)
 
 
 def read_elevation(path, crop_square: bool = False) -> np.ndarray:
@@ -148,6 +214,8 @@ def read_elevation(path, crop_square: bool = False) -> np.ndarray:
                 row = [float(tok) for tok in stripped.split()]
             except ValueError:
                 raise FormatError(f"cannot parse row {stripped!r}", line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"row {stripped!r} has a value that is not finite", line=lineno)
             if rows and len(row) != len(rows[0]):
                 raise FormatError(
                     f"ragged row of length {len(row)}, expected {len(rows[0])}",

@@ -116,23 +116,25 @@ class SyntheticSpec:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    def resolve(self):
-        """Callable on (..., d) arrays."""
-        if self.function == "example1":
-            if self.d != 1:
-                raise ValueError("example1 is univariate")
-            return lambda p: example1(p[..., 0])
-        if self.function == "example2":
-            if self.d != 1:
-                raise ValueError("example2 is univariate")
-            return lambda p: example2(p[..., 0])
-        if isinstance(self.function, PlantedFunction):
-            if self.function.d != self.d:
-                raise ValueError("planted function dimension mismatch")
-            return self.function
-        if callable(self.function):
-            return self.function
-        raise ValueError(f"unknown function spec {self.function!r}")
+
+def _resolve_function(function, d: int):
+    """The callable on (..., d) arrays that a function spec names; raises
+    ValueError for an unknown spec or one whose dimension is not d."""
+    if function == "example1":
+        if d != 1:
+            raise ValueError("example1 is univariate")
+        return lambda p: example1(p[..., 0])
+    if function == "example2":
+        if d != 1:
+            raise ValueError("example2 is univariate")
+        return lambda p: example2(p[..., 0])
+    if isinstance(function, PlantedFunction):
+        if function.d != d:
+            raise ValueError("planted function dimension mismatch")
+        return function
+    if callable(function):
+        return function
+    raise ValueError(f"unknown function spec {function!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class SyntheticData:
 def generate(spec: SyntheticSpec) -> SyntheticData:
     """Sample truth = f on the grid and noisy_mod = (truth + noise) mod 1."""
     grid = UniformGrid(d=spec.d, m=spec.m)
-    func = spec.resolve()
+    func = _resolve_function(spec.function, spec.d)
     truth = np.asarray(func(mesh_points(grid)), dtype=float)
     if truth.shape != grid.shape:
         raise ValueError("function did not evaluate to one value per grid point")
@@ -264,6 +266,8 @@ class McConfig:
     graph_radius: int = 1
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         for method in self.methods:
             if method not in ("knn", "ucqp", "trs"):
                 raise ValueError(f"unknown method {method!r}")
@@ -271,6 +275,7 @@ class McConfig:
             m = _axis_points(n, self.d)
             if m < 2:
                 raise ValueError(f"sweep size {n} gives fewer than 2 points per axis")
+        _resolve_function(self.function, self.d)
 
 
 def _axis_points(n: int, d: int) -> int:
@@ -481,8 +486,8 @@ def elevation_demo(
         raise ValueError("elevation must be a square matrix; crop it first")
     if mat.shape[0] < 2:
         raise ValueError("elevation must be at least 2 x 2")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
     m = mat.shape[0]
     truth_values = mat / scale
     data = generate(SyntheticSpec(lambda p: truth_values, d=2, m=m, sigma=sigma, seed=seed))

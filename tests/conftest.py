@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from modrec.certificate import dual_certificate, lift_matrix
-from modrec.grid import GridField, UniformGrid
+from modrec.fileio import FormatError, read_header
+from modrec.grid import GridField, UniformGrid, iter_lex
 from modrec.harness import PlantedFunction
 from modrec.linalg import hermitian_eig
-from modrec.qcqp import QcqpProblem, riemannian_grad
+from modrec.qcqp import QcqpProblem, objective, riemannian_grad
 
 
 def knn_brute(grid: UniformGrid, x, k: int):
@@ -276,6 +278,91 @@ def trs_dense(graph, z, lam: float) -> np.ndarray:
         else:
             hi = mid
     return V @ (c / (stiffness + 0.5 * (lo + hi)))
+
+
+def brute_force_min_n3(prob: QcqpProblem, coarse: int = 400) -> float:
+    """Global minimum of the torus objective on the 3-node path: a dense scan
+    of the angles plus a simplex polish."""
+    from scipy.optimize import minimize
+
+    angles = np.arange(coarse) * (2.0 * np.pi / coarse)
+    z = prob.z
+    c12 = prob.lam * (2.0 - 2.0 * np.cos(angles[:, None] - angles[None, :]))
+    best = (np.inf, None)
+    for i1, t1 in enumerate(angles):
+        data = (
+            -2.0 * np.cos(t1 - np.angle(z[0]))
+            - 2.0 * np.cos(angles[:, None] - np.angle(z[1]))
+            - 2.0 * np.cos(angles[None, :] - np.angle(z[2]))
+        )
+        total = data + c12[i1, :][:, None] + c12  # edges (1,2) and (2,3)
+        j = np.unravel_index(np.argmin(total), total.shape)
+        if total[j] < best[0]:
+            best = (float(total[j]), np.array([t1, angles[j[0]], angles[j[1]]]))
+
+    res = minimize(
+        lambda theta: objective(prob, np.exp(1j * theta)),
+        best[1],
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000},
+    )
+    return min(best[0], float(res.fun))
+
+
+def write_field_rowwise(path, fld: GridField, seed: int | None = None) -> None:
+    """Slow-path oracle for fileio.write_field: one formatted line per row."""
+    header = f"#GRIDFIELD v1 d={fld.grid.d} m={fld.grid.m} kind={fld.kind}"
+    if seed is not None:
+        header += f" seed={int(seed)}"
+    lines = [header]
+    for idx, value in zip(iter_lex(fld.grid), fld.flat):
+        lines.append(",".join(str(i) for i in idx) + "," + format(float(value), ".17g"))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_field_rowwise(path) -> GridField:
+    """Slow-path oracle for fileio.read_field: parse and check one line at a
+    time, raising at the first offending line."""
+    header = read_header(path)
+    grid = UniformGrid(d=header.d, m=header.m)
+    values = np.empty(grid.n)
+    with open(path, "r", encoding="ascii") as fh:
+        rows = 0
+        expected = iter(iter_lex(grid))
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != grid.d + 1:
+                raise FormatError(
+                    f"expected {grid.d} index components and a value", line=lineno
+                )
+            if rows >= grid.n:
+                raise FormatError(f"more than {grid.n} data rows", line=lineno)
+            try:
+                idx = tuple(int(p) for p in parts[:-1])
+                value = float(parts[-1])
+            except ValueError:
+                raise FormatError(f"cannot parse row {line!r}", line=lineno) from None
+            want = next(expected)
+            if idx != want:
+                raise FormatError(
+                    f"index {idx} out of lexicographic order, expected {want}",
+                    line=lineno,
+                )
+            if header.kind == "mod1" and not 0.0 <= value < 1.0:
+                raise FormatError(
+                    f"mod1 value {value!r} outside [0, 1)", line=lineno
+                )
+            if not math.isfinite(value):
+                raise FormatError(f"real value {value!r} is not finite", line=lineno)
+            values[rows] = value
+            rows += 1
+    if rows != grid.n:
+        raise FormatError(f"found {rows} data rows, header promises {grid.n}")
+    return GridField.from_flat(grid, values, kind=header.kind)
 
 
 def random_planted(d: int, rng: np.random.Generator, max_freq: int = 3) -> PlantedFunction:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import modrec as mr
-from conftest import lift_gram
+from conftest import brute_force_min_n3, lift_gram
 from modrec.grid import mesh_points
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import euclidean_grad
@@ -188,34 +188,6 @@ def test_criterion_05_gradient_hessian_finite_differences():
 # 6. QCQP optimality at desk scale
 
 
-def _brute_force_min_n3(prob, coarse=400):
-    from scipy.optimize import minimize
-
-    angles = np.arange(coarse) * (TWO_PI / coarse)
-    z = prob.z
-    lam = prob.lam
-    c12 = lam * (2.0 - 2.0 * np.cos(angles[:, None] - angles[None, :]))
-    best = (np.inf, None)
-    for i1, t1 in enumerate(angles):
-        data = (
-            -2.0 * np.cos(t1 - np.angle(z[0]))
-            - 2.0 * np.cos(angles[:, None] - np.angle(z[1]))
-            - 2.0 * np.cos(angles[None, :] - np.angle(z[2]))
-        )
-        total = data + c12[i1, :][:, None] + c12
-        j = np.unravel_index(np.argmin(total), total.shape)
-        if total[j] < best[0]:
-            best = (float(total[j]), np.array([t1, angles[j[0]], angles[j[1]]]))
-
-    res = minimize(
-        lambda th: mr.objective(prob, np.exp(1j * th)),
-        best[1],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000},
-    )
-    return min(best[0], float(res.fun))
-
-
 def test_criterion_06_desk_scale_global_optimality():
     rng = np.random.default_rng(600)
     graph = mr.path_graph(3)
@@ -226,7 +198,7 @@ def test_criterion_06_desk_scale_global_optimality():
         lam = rng.uniform(0.0, 0.2)
         prob = mr.QcqpProblem(z=z, graph=graph, lam=lam)
         rep = mr.solve_qcqp(prob, restarts=8, seed=11)
-        oracle = _brute_force_min_n3(prob)
+        oracle = brute_force_min_n3(prob)
         worst_gap = max(worst_gap, abs(rep.objective - oracle))
         checks_ok &= mr.critical_point_checks(prob, rep.ghat).all_ok
     ok = worst_gap <= 1e-6 and checks_ok

@@ -91,7 +91,12 @@ def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "flags", [("--methods", "knn,bogus"), ("--d", "2", "--n-sweep", "10"), ("--n-sweep", "1")]
+    "flags",
+    [
+        ("--methods", "knn,bogus"), ("--d", "2", "--n-sweep", "10"), ("--n-sweep", "1"),
+        ("--trials", "-1", "--n-sweep", "16"), ("--trials", "0", "--n-sweep", "16"),
+        ("--d", "2", "--func", "example1", "--n-sweep", "16"),
+    ],
 )
 def test_mc_config_rejections_exit_1(capsys, flags):
     code, out, err = run(capsys, "mc", *flags)
@@ -313,3 +318,25 @@ def test_demo_elevation_command(tmp_path, capsys):
     for name in ("truth", "noisy_mod", "denoised_mod", "unwrapped", "unwrapped_raw"):
         assert (out_dir / f"{name}.gf").exists()
     assert (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0"])
+def test_demo_elevation_bad_scale_is_named(tmp_path, capsys, scale):
+    terrain = tmp_path / "terrain.txt"
+    terrain.write_text("1 2\n3 4\n")
+    code, out, err = run(
+        capsys, "demo-elevation", "--in", str(terrain), f"--scale={scale}",
+        "--out-dir", str(tmp_path / "demo"),
+    )
+    assert code == 2 and not out
+    assert err.startswith("data error: scale must be a finite number above 0")
+
+
+def test_demo_elevation_non_finite_entry_names_its_line(tmp_path, capsys):
+    terrain = tmp_path / "terrain.txt"
+    terrain.write_text("1 nan\n3 4\n")
+    code, out, err = run(
+        capsys, "demo-elevation", "--in", str(terrain), "--out-dir", str(tmp_path / "demo"),
+    )
+    assert code == 2 and not out
+    assert err.startswith("data error: line 1:") and "not finite" in err

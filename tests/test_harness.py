@@ -231,12 +231,33 @@ def test_monte_carlo_report_config_matches_the_listed_keys():
 
 
 def test_mc_config_sweep_sizes_are_perfect_powers():
-    assert McConfig(d=3, n_sweep=(8, 27, 10 ** 15), methods=("ucqp",)).n_sweep[-1] == 10 ** 15
+    planted = PlantedFunction((0.5,) * 3, (1,) * 3, (0.0,) * 3)
+    config = McConfig(function=planted, d=3, n_sweep=(8, 27, 10 ** 15), methods=("ucqp",))
+    assert config.n_sweep[-1] == 10 ** 15
     for d, n in ((2, 10), (3, 26), (3, 28), (3, 10 ** 15 - 1), (3, 10 ** 15 + 1)):
         with pytest.raises(ValueError, match="perfect"):
             McConfig(d=d, n_sweep=(n,))
     with pytest.raises(ValueError, match="fewer than 2"):
         McConfig(d=2, n_sweep=(1,))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mc_config_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        McConfig(n_sweep=(16,), trials=trials)
+
+
+@pytest.mark.parametrize(
+    "function, message",
+    [
+        ("example1", "univariate"),
+        ("example2", "univariate"),
+        (PlantedFunction((0.5,), (1,), (0.0,)), "dimension mismatch"),
+    ],
+)
+def test_mc_config_rejects_function_of_another_dimension(function, message):
+    with pytest.raises(ValueError, match=message):
+        McConfig(function=function, d=2, n_sweep=(16,))
 
 
 def test_monte_carlo_error_decreases_with_n():
@@ -309,3 +330,9 @@ def test_elevation_unscaled_fails_itoh_and_reports():
 def test_elevation_requires_square():
     with pytest.raises(ValueError):
         elevation_demo(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_elevation_rejects_scale_outside_open_half_line(scale):
+    with pytest.raises(ValueError, match="scale must be a finite number above 0"):
+        elevation_demo(_cone_terrain(4, peak=1.0), scale=scale)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import graph_edges_brute
+from conftest import brute_force_min_n3, graph_edges_brute
 from modrec.graphs import (
     GraphSpec,
     edge_smoothness,
@@ -285,35 +285,6 @@ def test_solver_trivial_cases():
     assert rep.iterations == 0 and np.array_equal(rep.ghat, zc)
 
 
-def _brute_force_min_n3(prob, coarse=400):
-    """Dense scan of the 3-torus (angles) plus a simplex polish."""
-    from scipy.optimize import minimize
-
-    angles = np.arange(coarse) * (TWO_PI / coarse)
-    z = prob.z
-    lam = prob.lam
-    c12 = lam * (2.0 - 2.0 * np.cos(angles[:, None] - angles[None, :]))
-    best = (np.inf, None)
-    for i1, t1 in enumerate(angles):
-        fit1 = -2.0 * np.cos(t1 - np.angle(z[0]))
-        data = (
-            fit1
-            - 2.0 * np.cos(angles[:, None] - np.angle(z[1]))
-            - 2.0 * np.cos(angles[None, :] - np.angle(z[2]))
-        )
-        total = data + c12[i1, :][:, None] + c12  # edges (1,2) and (2,3)
-        j = np.unravel_index(np.argmin(total), total.shape)
-        if total[j] < best[0]:
-            best = (float(total[j]), np.array([t1, angles[j[0]], angles[j[1]]]))
-
-    def f_angles(theta):
-        return objective(prob, np.exp(1j * theta))
-
-    res = minimize(f_angles, best[1], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-    return min(best[0], float(res.fun))
-
-
 def test_solver_matches_brute_force_n3():
     rng = np.random.default_rng(52)
     graph = path_graph(3)
@@ -322,7 +293,7 @@ def test_solver_matches_brute_force_n3():
         lam = rng.uniform(0, 0.2)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
         rep = solve_qcqp(prob, restarts=8, seed=5)
-        oracle = _brute_force_min_n3(prob)
+        oracle = brute_force_min_n3(prob)
         assert rep.objective == pytest.approx(oracle, abs=1e-6)
         assert rep.converged
 

@@ -15,7 +15,8 @@ gradients (the graphs here are sparse paths and neighborhoods).  Both methods
 return the solution projected entrywise onto the circle, alongside the raw
 minimizer.  A sphere problem whose secular function has no positive root
 (mean(z) = 0 to rounding and ||(lam*L)^+ z||^2 <= n) raises HardCaseError
-rather than perturbing the data silently.
+rather than perturbing the data silently.  The inputs (z, graph, lam) are
+validated by QcqpProblem, the torus problem that both methods relax.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .circle import project_to_circle
 from .graphs import GraphSpec, laplacian_apply
+from .qcqp import QcqpProblem
 
 TRS_CG_TOL = 1e-12  # relative CG residual of each inner solve of solve_trs
 
@@ -73,21 +75,12 @@ class UcqpResult:
     iterations: int
 
 
-def _check_inputs(z, lam: float) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
-        raise ValueError("z must be a unit-modulus (circle-embedded) signal")
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and >= 0")
-    return z
-
-
 def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-12) -> UcqpResult:
     """Solve (I + lam*L) g = z and project the minimizer onto the circle.
 
     lam = 0 is the identity system: z itself is returned, exactly.
     """
-    z = _check_inputs(z, lam)
+    z = QcqpProblem(z, graph, lam).z
     if lam == 0.0:
         return UcqpResult(signal=z.copy(), raw=z.copy(), residual_inf=0.0, iterations=0)
 
@@ -137,7 +130,7 @@ def solve_trs(
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
     """
-    z = _check_inputs(z, lam)
+    z = QcqpProblem(z, graph, lam).z
     n = graph.n
     if lam == 0.0:
         return TrsResult(

@@ -10,7 +10,8 @@ conjugate-gradient residual for ucqp, and the relative norm defect
 
 Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure
-(e.g. a sphere-relaxation hard case).
+(e.g. a sphere-relaxation hard case).  Give a negative value with "=", as in
+--lambda=-inf: argparse reads "--lambda -inf" as a flag, not a value.
 """
 
 from __future__ import annotations
@@ -45,6 +46,33 @@ def _csv(cast):
         except ValueError:
             raise UsageError(f"expected comma-separated {cast.__name__}s, got {text!r}") from None
 
+    return parse
+
+
+def _finite(low: float, strict: bool = False):
+    """Parser of a finite float >= low, or > low when strict."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (low < value if strict else low <= value) or value == np.inf:
+            bound = f"above {low:g}" if strict else f">= {low:g}"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {value!r}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
+def _at_least(low: int):
+    """Parser of an int >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
     return parse
 
 
@@ -105,7 +133,7 @@ def _build_parser() -> _Parser:
     i = sub.add_parser("interp", help="evaluate the multilinear interpolant of a real field")
     i.add_argument("--in", dest="inp", required=True)
     i.add_argument("--at", action="append", default=[], help="comma-separated point, repeatable")
-    i.add_argument("--resample", type=int, help="evaluate on a finer m-per-axis grid")
+    i.add_argument("--resample", type=_at_least(2), help="evaluate on a finer m-per-axis grid")
     i.add_argument("--out", help="output field for --resample")
 
     for name, help_text in _SOLVERS.items():
@@ -113,8 +141,9 @@ def _build_parser() -> _Parser:
         c.add_argument("--in", dest="inp", required=True)
         c.add_argument("--graph", type=_graph_radius, default="path",
                        help="path or knn-grid:<r>")
-        c.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        c.add_argument("--tol", type=float, help="solver stopping tolerance (see modrec --help)")
+        c.add_argument("--lambda", dest="lam", type=_finite(0.0), default=0.0)
+        c.add_argument("--tol", type=_finite(0.0, strict=True),
+                       help="solver stopping tolerance (see modrec --help)")
         c.add_argument("--out", help="JSON report" if name == "certify" else "denoised mod-1 field")
 
     mc = sub.add_parser("mc", help="Monte Carlo sweep over n and methods")
@@ -141,9 +170,9 @@ def _build_parser() -> _Parser:
         "demo-elevation", help="terrain recovery demo from a plain-text elevation grid"
     )
     de.add_argument("--in", dest="inp", required=True)
-    de.add_argument("--scale", type=float)
-    de.add_argument("--sigma", type=float)
-    de.add_argument("--k", type=int)
+    de.add_argument("--scale", type=_finite(0.0, strict=True))
+    de.add_argument("--sigma", type=_finite(0.0))
+    de.add_argument("--k", type=_at_least(1))
     de.add_argument("--seed", type=int)
     de.add_argument("--crop-square", action="store_true")
     de.add_argument("--out-dir", required=True)
@@ -151,15 +180,15 @@ def _build_parser() -> _Parser:
 
 
 def _add_k_flags(cmd):
-    cmd.add_argument("--k", type=int)
+    cmd.add_argument("--k", type=_at_least(1))
     cmd.add_argument(
         "--k-rule",
         choices=["explicit", "expected", "supnorm", "practical"],
         default="explicit",
     )
-    cmd.add_argument("--C", type=float)
-    cmd.add_argument("--sigma", type=float, default=0.12)
-    cmd.add_argument("--M", type=float, default=1.0)
+    cmd.add_argument("--C", type=_finite(0.0, strict=True))
+    cmd.add_argument("--sigma", type=_finite(0.0), default=0.12)
+    cmd.add_argument("--M", type=_finite(0.0, strict=True), default=1.0)
 
 
 def _validate_k_flags(args) -> None:
@@ -185,9 +214,12 @@ def _emit(payload: dict):
 
 def _run(args) -> int:
     if args.command == "gen":
-        spec = harness.SyntheticSpec(
-            function=args.func, d=args.d, m=args.m, sigma=args.sigma, seed=args.seed
-        )
+        try:
+            spec = harness.SyntheticSpec(
+                function=args.func, d=args.d, m=args.m, sigma=args.sigma, seed=args.seed
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         data = harness.generate(spec)
         fileio.write_field(args.out, data.noisy_mod, seed=args.seed)
         if args.truth_out:
@@ -248,10 +280,6 @@ def _run(args) -> int:
         return 0
 
     if args.command in _SOLVERS:
-        if not 0.0 <= args.lam < np.inf:
-            raise UsageError(f"--lambda must be a finite number >= 0, got {args.lam!r}")
-        if args.tol is not None and not 0.0 < args.tol < np.inf:
-            raise UsageError(f"--tol must be a finite number above 0, got {args.tol!r}")
         field = fileio.read_field(args.inp)
         grid = field.grid
         graph = path_graph(grid.n) if args.graph is None else grid_graph(grid.d, grid.m, args.graph)
@@ -383,13 +411,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (fileio.FormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (baselines.HardCaseError, baselines.NumericError, RuntimeError) as exc:
+    except RuntimeError as exc:  # HardCaseError and NumericError among them
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # FormatError among them
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

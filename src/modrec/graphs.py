@@ -124,9 +124,8 @@ def adjacency_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
 def laplacian_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
     """(L g)_i = sum over neighbors j of (g_i - g_j), computed edge-wise."""
     v = np.asarray(g)
-    if v.shape != (graph.n,):
-        raise ValueError(f"vector length {v.shape} does not match n = {graph.n}")
-    return graph.degrees * v - adjacency_apply(graph, v)
+    w = adjacency_apply(graph, v)  # checks the length first
+    return graph.degrees * v - w
 
 
 def quadratic_form(graph: GraphSpec, g: np.ndarray) -> float:

@@ -13,7 +13,7 @@ denoiser, so method comparisons differ only in the denoising stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class PlantedFunction:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """What to generate: a named function or a planted one, grid, noise, seed."""
+    """What to generate: a named function or a planted one, grid, noise, seed.
+    A spec that generate could not use is rejected when built."""
 
     function: object  # "example1" | "example2" | PlantedFunction | callable
     d: int
@@ -113,8 +114,10 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
+        UniformGrid(self.d, self.m)
+        _resolve_function(self.function, self.d)
 
 
 def _resolve_function(function, d: int):
@@ -275,7 +278,12 @@ class McConfig:
             m = _axis_points(n, self.d)
             if m < 2:
                 raise ValueError(f"sweep size {n} gives fewer than 2 points per axis")
-        _resolve_function(self.function, self.d)
+            # What a trial at size n builds, so it rejects what the trial would.
+            SyntheticSpec(self.function, self.d, m, self.sigma, self.base_seed)
+            if "knn" in self.methods:
+                choose_k_practical(n, d=self.d, C=self.C)
+            if {"ucqp", "trs"} & set(self.methods):
+                baselines.lambda_schedule(self.kappa, n)
 
 
 def _axis_points(n: int, d: int) -> int:
@@ -334,18 +342,7 @@ class McSummary:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
         cfg = {name: list(v) if isinstance(v, tuple) else v for name, v in cfg.items()}
         cfg["function"] = str(self.config.function)
-        cells = [
-            {
-                "n": c.n,
-                "method": c.method,
-                "trials": c.trials,
-                "failures": c.failures,
-                "means": c.means,
-                "stds": c.stds,
-            }
-            for c in self.cells
-        ]
-        return {"config": cfg, "cells": cells}
+        return {"config": cfg, "cells": [asdict(c) for c in self.cells]}
 
     def to_csv(self) -> str:
         lines = ["n,method,metric,mean,std"]

@@ -179,6 +179,14 @@ def circle_estimate(y: GridField, k: int, x) -> complex:
     return complex(s / mag) if mag > _CANCEL_TOL * block.size else 1.0 + 0.0j
 
 
+def _check_sigma_M(sigma: float, M: float) -> None:
+    """The noise level and Lipschitz constant that the bandwidth rules accept."""
+    if not 0 < M < np.inf:
+        raise ValueError(f"M must be a finite number above 0, got {M!r}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+
+
 def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     """Number of neighbors minimizing the expected-risk bound, clamped to [1, n].
 
@@ -186,12 +194,9 @@ def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     the returned k is its ceiling.  sigma = 0 is the bias-only regime and
     returns 1 with a warning.
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_sigma_M(sigma, M)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         warnings.warn("sigma = 0: bias-only regime, using k = 1", stacklevel=2)
         return 1
@@ -215,12 +220,9 @@ def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelectio
     n/log n >= (pi*M / (2*d*((4*pi^2*sigma^2+2)/3 + pi*sigma)))^d holds and
     whether k_star >= log n (the simplification used to derive the rule).
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_sigma_M(sigma, M)
     if n < 2:
         raise ValueError("n must be >= 2")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     c_sigma = (4.0 * np.pi ** 2 * sigma ** 2 + 2.0) / 3.0 + np.pi * sigma
     log_n = math.log(n)
     k_star = (
@@ -240,8 +242,8 @@ def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelectio
 
 def choose_k_practical(n: int, d: int = 1, C: float = 0.09) -> int:
     """Desk rule k = ceil(C * n^(2/(d+2)) * (log n)^(d/(d+2))), clamped to [1, n]."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be a finite number above 0, got {C!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     k_star = C * n ** (2.0 / (d + 2)) * math.log(n) ** (d / (d + 2))

@@ -95,8 +95,8 @@ class SolveReport:
     backtracks: int  # step halvings summed over every line search
 
 
-def _descend(problem, g0, tol):
-    g = np.asarray(g0, dtype=complex).copy()
+def _descend(problem, tol):
+    g = problem.z.copy()
     fg = objective(problem, g)
     lam_delta = problem.lam * problem.graph.max_degree
     eta_safe = 0.5 / (1.0 + 4.0 * lam_delta)
@@ -136,12 +136,7 @@ def _descend(problem, g0, tol):
     return g, fg, gn, it, gn <= tol, backtracks
 
 
-def solve_qcqp(
-    problem: QcqpProblem,
-    tol: float = 1e-9,
-    restarts: int = 0,
-    seed: int = 0,
-) -> SolveReport:
+def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
     """Projected Riemannian gradient descent with Armijo backtracking.
 
     Step rule.  Gershgorin bounds the Laplacian by ||L|| <= 2*Delta (Delta
@@ -154,20 +149,12 @@ def solve_qcqp(
     starts at the Barzilai-Borwein step <s, s>/Re<s, y> (s the last step in
     g, y the change in the Riemannian gradient), floored at eta_safe.
     Backtracking halves the step until the Armijo sufficient decrease
-    holds, so the objective is monotone.  The descent starts at z itself
-    (the lam = 0 minimizer).  Optional random restarts rerun the descent
-    from uniform torus points and keep the best objective.  Non-convergence is
-    reported, never raised.
+    holds, so the objective is monotone.  One descent runs, started at z
+    itself (the lam = 0 minimizer).  It seeks a first-order critical point;
+    whether that point is the global minimizer is for the certificate in
+    modrec.certificate to decide.  Non-convergence is reported, never raised.
     """
-    best = _descend(problem, problem.z, tol)
-    if restarts:
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=problem.graph.n)
-            cand = _descend(problem, np.exp(1j * angles), tol)
-            if cand[1] < best[1]:
-                best = cand
-    g, fg, gn, it, ok, backtracks = best
+    g, fg, gn, it, ok, backtracks = _descend(problem, tol)
     g.setflags(write=False)
     return SolveReport(
         ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=ok, backtracks=backtracks

@@ -70,23 +70,16 @@ def branch_correct(a: float) -> float:
 
 
 def _branch_correct_array(a: np.ndarray):
+    """Corrected differences, and the BranchCounts fields of a in field order."""
     corr = a + (a < -0.5) - (a > 0.5)
-    counts = BranchCounts(
-        no_jump=int(np.count_nonzero(np.abs(a) <= 0.5)),
-        plus_one=int(np.count_nonzero(a < -0.5)),
-        minus_one=int(np.count_nonzero(a > 0.5)),
-        boundary_hits=int(np.count_nonzero(np.abs(a) == 0.5)),
-    )
+    mag = np.abs(a)
+    counts = [
+        np.count_nonzero(mag <= 0.5),
+        np.count_nonzero(a < -0.5),
+        np.count_nonzero(a > 0.5),
+        np.count_nonzero(mag == 0.5),
+    ]
     return corr, counts
-
-
-def _merge_counts(parts):
-    return BranchCounts(
-        no_jump=sum(p.no_jump for p in parts),
-        plus_one=sum(p.plus_one for p in parts),
-        minus_one=sum(p.minus_one for p in parts),
-        boundary_hits=sum(p.boundary_hits for p in parts),
-    )
 
 
 def unwrap_1d(ghat) -> UnwrapResult:
@@ -119,20 +112,19 @@ def unwrap_multid(ghat: GridField) -> UnwrapResult:
     g = ghat.values
     ft = np.full(grid.shape, np.nan)
     ft[(0,) * grid.d] = g[(0,) * grid.d]
-    parts = []
+    counts = np.zeros(4, dtype=np.int64)
     max_step = 0.0
     for j in range(grid.d):
         # Free leading axes, axis j runs, trailing axes pinned at index 0.
         sel = (slice(None),) * (j + 1) + (0,) * (grid.d - j - 1)
-        g_face = g[sel]
-        corr, counts = _branch_correct_array(np.diff(g_face, axis=j))
-        parts.append(counts)
+        corr, face_counts = _branch_correct_array(np.diff(g[sel], axis=j))
+        counts += face_counts
         max_step = max(max_step, float(np.max(np.abs(corr))))
         root = np.take(ft[sel], [0], axis=j)
         ft[sel] = np.concatenate([root, root + np.cumsum(corr, axis=j)], axis=j)
     return UnwrapResult(
         ftilde=ft,
-        branch_counts=_merge_counts(parts),
+        branch_counts=BranchCounts(*map(int, counts)),
         itoh_margin=0.5 - max_step,
         grid=grid,
     )

@@ -197,7 +197,7 @@ def test_criterion_06_desk_scale_global_optimality():
         z = np.exp(1j * rng.uniform(0, TWO_PI, 3))
         lam = rng.uniform(0.0, 0.2)
         prob = mr.QcqpProblem(z=z, graph=graph, lam=lam)
-        rep = mr.solve_qcqp(prob, restarts=8, seed=11)
+        rep = mr.solve_qcqp(prob)
         oracle = brute_force_min_n3(prob)
         worst_gap = max(worst_gap, abs(rep.objective - oracle))
         checks_ok &= mr.critical_point_checks(prob, rep.ghat).all_ok

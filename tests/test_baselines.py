@@ -208,3 +208,16 @@ def test_lambda_schedule():
 def test_relaxations_reject_bad_lam(solve, lam):
     with pytest.raises(ValueError, match="lam must be finite and >= 0"):
         solve(np.ones(4, dtype=complex), path_graph(4), lam)
+
+
+@pytest.mark.parametrize("solve", [solve_ucqp, solve_trs])
+@pytest.mark.parametrize(
+    "z, message",
+    [
+        (np.ones(3, dtype=complex), "signal length does not match graph size"),
+        (np.full(4, 0.5 + 0.0j), "z must have unit-modulus entries"),
+    ],
+)
+def test_relaxations_reject_bad_signal(solve, z, message):
+    with pytest.raises(ValueError, match=message):
+        solve(z, path_graph(4), 1.0)

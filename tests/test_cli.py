@@ -96,11 +96,54 @@ def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command,
         ("--methods", "knn,bogus"), ("--d", "2", "--n-sweep", "10"), ("--n-sweep", "1"),
         ("--trials", "-1", "--n-sweep", "16"), ("--trials", "0", "--n-sweep", "16"),
         ("--d", "2", "--func", "example1", "--n-sweep", "16"),
+        ("--sigma=-1", "--n-sweep", "16"), ("--sigma", "nan", "--n-sweep", "16"),
+        ("--C=-1", "--n-sweep", "16"), ("--C", "nan", "--n-sweep", "16"),
+        ("--kappa=-1", "--methods", "ucqp", "--n-sweep", "16"),
     ],
 )
 def test_mc_config_rejections_exit_1(capsys, flags):
     code, out, err = run(capsys, "mc", *flags)
     assert code == 1 and err.startswith("usage error") and not out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--sigma", "nan"), "sigma must be a finite number >= 0, got nan"),
+        (("--sigma=-1",), "sigma must be a finite number >= 0, got -1.0"),
+        (("--m", "1"), "points-per-axis m must be >= 2"),
+        (("--d", "0"), "dimension d must be >= 1"),
+        (("--d", "2"), "example1 is univariate"),
+    ],
+)
+def test_gen_spec_rejections_exit_1(tmp_path, capsys, flags, message):
+    out_path = tmp_path / "y.gf"
+    # A repeated flag takes its last value, so flags may override --m 5.
+    code, out, err = run(capsys, "gen", "--func", "example1", "--m", "5", *flags, "--out", str(out_path))
+    assert code == 1 and not out and not out_path.exists()
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("denoise", "--k", "0", "--out", "o.gf"),
+        ("denoise", "--k-rule", "expected", "--sigma", "nan", "--out", "o.gf"),
+        ("recover", "--k-rule", "practical", "--C=-1", "--out", "o.gf"),
+        ("recover", "--k-rule", "practical", "--C", "nan", "--out", "o.gf"),
+        ("recover", "--k-rule", "supnorm", "--M", "0", "--out", "o.gf"),
+        ("recover", "--k-rule", "expected", "--M", "inf", "--out", "o.gf"),
+        ("demo-elevation", "--scale=inf", "--out-dir", "d"),
+        ("demo-elevation", "--sigma=-1", "--out-dir", "d"),
+        ("demo-elevation", "--k", "0", "--out-dir", "d"),
+        ("interp", "--resample", "1", "--out", "o.gf"),
+        ("interp", "--resample", "0", "--out", "o.gf"),
+    ],
+)
+def test_bad_flag_values_exit_1_before_reading(tmp_path, capsys, argv):
+    # The input file does not exist: a data error (exit 2) would mean it was read first.
+    code, out, err = run(capsys, *argv, "--in", str(tmp_path / "absent"))
+    assert code == 1 and err.startswith("usage error: argument --") and not out
 
 
 def _json(payload: dict) -> str:
@@ -328,8 +371,8 @@ def test_demo_elevation_bad_scale_is_named(tmp_path, capsys, scale):
         capsys, "demo-elevation", "--in", str(terrain), f"--scale={scale}",
         "--out-dir", str(tmp_path / "demo"),
     )
-    assert code == 2 and not out
-    assert err.startswith("data error: scale must be a finite number above 0")
+    assert code == 1 and not out
+    assert err.startswith("usage error: argument --scale: must be a finite number above 0")
 
 
 def test_demo_elevation_non_finite_entry_names_its_line(tmp_path, capsys):

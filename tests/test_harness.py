@@ -260,6 +260,44 @@ def test_mc_config_rejects_function_of_another_dimension(function, message):
         McConfig(function=function, d=2, n_sweep=(16,))
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"sigma": np.nan}, "sigma must be a finite number >= 0, got nan"),
+        ({"sigma": -1.0}, "sigma must be a finite number >= 0"),
+        ({"C": -1.0}, "C must be a finite number above 0"),
+        ({"C": np.nan}, "C must be a finite number above 0, got nan"),
+        ({"kappa": -1.0, "methods": ("ucqp",)}, "kappa must be finite and positive"),
+        ({"kappa": np.nan, "methods": ("knn", "trs")}, "kappa must be finite and positive"),
+    ],
+)
+def test_mc_config_rejects_values_its_trials_would_reject(settings, message):
+    with pytest.raises(ValueError, match=message):
+        McConfig(n_sweep=(16,), **settings)
+
+
+def test_mc_config_checks_only_the_parameters_its_methods_use():
+    McConfig(n_sweep=(16,), methods=("knn",), kappa=-1.0)
+    McConfig(n_sweep=(16,), methods=("ucqp", "trs"), C=np.nan)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"sigma": np.nan}, "sigma must be a finite number >= 0, got nan"),
+        ({"sigma": np.inf}, "sigma must be a finite number >= 0, got inf"),
+        ({"sigma": -0.5}, "sigma must be a finite number >= 0"),
+        ({"d": 2}, "example1 is univariate"),
+        ({"m": 1}, "points-per-axis m must be >= 2"),
+        ({"d": 0}, "dimension d must be >= 1"),
+    ],
+)
+def test_synthetic_spec_rejects_what_generate_would(settings, message):
+    spec = {"function": "example1", "d": 1, "m": 8, "sigma": 0.1, "seed": 0, **settings}
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**spec)
+
+
 def test_monte_carlo_error_decreases_with_n():
     config = McConfig(
         n_sweep=(250, 1000, 4000), trials=20, base_seed=40, methods=("knn",), sigma=0.12

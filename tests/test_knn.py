@@ -299,6 +299,17 @@ def test_choose_k_practical_examples():
         choose_k_practical(1000, 1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bandwidth_rules_name_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match=f"C must be a finite number above 0, got {bad}"):
+        choose_k_practical(1000, 1, bad)
+    for rule in (choose_k_expected_risk, choose_k_sup_norm):
+        with pytest.raises(ValueError, match=f"sigma must be a finite number >= 0, got {bad}"):
+            rule(1, bad, 1.0, 1000)
+        with pytest.raises(ValueError, match=f"M must be a finite number above 0, got {bad}"):
+            rule(1, 0.1, bad, 1000)
+
+
 # ---------------------------------------------------------------------------
 # Bounds
 

@@ -292,7 +292,7 @@ def test_solver_matches_brute_force_n3():
         z = _random_torus(rng, 3)
         lam = rng.uniform(0, 0.2)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
-        rep = solve_qcqp(prob, restarts=8, seed=5)
+        rep = solve_qcqp(prob)
         oracle = brute_force_min_n3(prob)
         assert rep.objective == pytest.approx(oracle, abs=1e-6)
         assert rep.converged

@@ -177,8 +177,9 @@ def test_itoh_check_examples():
         itoh_check(0.1, 1.0, 1)
 
 
-def test_unwrap_result_invariants():
-    grid = UniformGrid(1, 50)
+@pytest.mark.parametrize("d, m", [(1, 50), (2, 7), (3, 4)])
+def test_unwrap_result_invariants(d, m):
+    grid = UniformGrid(d, m)
     rng = np.random.default_rng(36)
     g = GridField(grid, rng.uniform(size=grid.shape), kind="mod1")
     r = unwrap_multid(g)

@@ -339,7 +339,7 @@ def _run(args) -> int:
         if args.out:
             fileio.write_report(args.out, summary.to_report())
         if args.csv:
-            with open(args.csv, "w", encoding="ascii") as fh:
+            with fileio.open_output(args.csv) as fh:
                 fh.write(summary.to_csv())
         _emit(summary.to_report())
         return 0

@@ -20,13 +20,38 @@ header promises, does not parse as Python ``int`` indices and a ``float``
 value, carries an index out of lexicographic order, or holds a value
 outside [0, 1) (mod1) or not finite (real), checked in that order.  A file
 with too few rows raises without a line number.
+
+Every writer opens its output through ``open_output``, which replaces an
+existing file rather than truncating it wherever nothing but the inode
+number and ctime can show the difference: a regular file (not a symlink)
+with one link, owned by the caller's effective user and group, with no
+extended attribute (so no ACL), that the caller may write, in a directory
+the caller may write.  It is unlinked and created afresh with the same
+permission bits.  Every other path -- no file, a symlink, a hard-linked
+file, a FIFO or device, another user's or group's file, a file the caller
+may not write, any path on a platform without ``os.listxattr`` -- is opened
+with ``open(path, "w")`` and truncated, with the same errors as that call.
+The bytes written are the same either way.  Why: truncating a file to zero
+arms ext4's ``auto_da_alloc`` flush, so closing it allocates the new blocks
+at once, and the next rewrite of the path then waits tens of milliseconds
+for ext4 to free them; a file created afresh stays in delayed allocation
+until writeback, and a rewrite before then frees nothing.
+
+Durability: the library never calls ``fsync``.  A written output, new or
+replacing an old one, reaches the disk through the kernel's ordinary
+writeback; a crash before then can lose it.  (When the writers truncated,
+ext4 pushed an overwritten output out at close.)  An interrupted write
+leaves a file with too few rows, which ``read_field`` rejects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -66,13 +91,50 @@ def _index_strings(grid: UniformGrid):
     return map(",".join, itertools.product(axis, repeat=grid.d))
 
 
+def _replaceable_mode(path) -> int | None:
+    """The permission bits of the file at ``path`` if unlinking and creating
+    it afresh shows no difference but the inode number and ctime, else None."""
+    if not hasattr(os, "listxattr"):  # Linux only; elsewhere xattrs go unseen
+        return None
+    try:
+        st = os.lstat(path)
+    except OSError:  # no file, or a path lstat cannot reach: open as before
+        return None
+    if (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.access(path, os.W_OK)
+        and not os.listxattr(path)
+    ):
+        return stat.S_IMODE(st.st_mode)
+    return None
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """``open(path, "w", encoding="ascii")``, replacing rather than truncating
+    an existing file where the module docstring says it may."""
+    bits = _replaceable_mode(path)
+    if bits is not None:
+        try:
+            os.unlink(path)
+        except OSError:  # e.g. a directory the caller may not write
+            bits = None
+    # "x" after the unlink: a name planted in between is never followed.
+    with open(path, "w" if bits is None else "x", encoding="ascii") as fh:
+        if bits is not None:
+            os.fchmod(fh.fileno(), bits)  # the umask trimmed the new file's bits
+        yield fh
+
+
 def write_field(path, fld: GridField, seed: int | None = None) -> None:
     header = f"#GRIDFIELD v1 d={fld.grid.d} m={fld.grid.m} kind={fld.kind}"
     if seed is not None:
         header += f" seed={int(seed)}"
     indices = _index_strings(fld.grid)
     flat = fld.flat
-    with open(path, "w", encoding="ascii") as fh:
+    with open_output(path) as fh:
         fh.write(header + "\n")
         for start in range(0, flat.size, WRITE_BLOCK_ROWS):
             block = flat[start:start + WRITE_BLOCK_ROWS].tolist()
@@ -255,7 +317,7 @@ def report_to_json(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open_output(path) as fh:
         fh.write(report_to_json(report))
 
 

@@ -261,7 +261,8 @@ class RiskBoundInputs:
     k: int
 
     def __post_init__(self):
-        if self.sigma < 0 or self.M <= 0 or self.n < 1 or not 1 <= self.k:
+        _check_sigma_M(self.sigma, self.M)
+        if self.n < 1 or not 1 <= self.k:
             raise ValueError("invalid risk-bound inputs")
 
     @property
@@ -335,8 +336,9 @@ def sup_error_scale(d: int, sigma: float, M: float, n: int) -> SupErrorScale:
     """delta(n) = 6*(8*pi*M)^(d/(d+2)) * (32*((4*pi^2*sigma^2+2)/3 + pi*sigma))^(2/(d+2))
     * (log(n)/n)^(1/(d+2)); one quarter of it bounds the wrap error of the
     denoised samples with probability >= 1 - 1/n."""
-    if M <= 0 or sigma < 0 or n < 2:
-        raise ValueError("invalid inputs")
+    _check_sigma_M(sigma, M)
+    if n < 2:
+        raise ValueError("n must be >= 2")
     c_sigma = (4.0 * np.pi ** 2 * sigma ** 2 + 2.0) / 3.0 + np.pi * sigma
     gamma = 6.0 * (8.0 * np.pi * M) ** (d / (d + 2)) * (32.0 * c_sigma) ** (2.0 / (d + 2))
     value = gamma * (math.log(n) / n) ** (1.0 / (d + 2))

@@ -138,7 +138,11 @@ class ItohReport:
 
 def itoh_check(delta: float, M: float, m: int) -> ItohReport:
     """Resolution condition 2*delta + M/(m-1) < 1/2 with its margin."""
-    if delta < 0 or M <= 0 or m < 2:
-        raise ValueError("invalid inputs")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+    if not 0 < M < np.inf:
+        raise ValueError(f"M must be a finite number above 0, got {M!r}")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     margin = 0.5 - 2.0 * delta - M / (m - 1)
     return ItohReport(satisfied=bool(margin > 0.0), margin=float(margin))

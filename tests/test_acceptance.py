@@ -21,7 +21,7 @@ TWO_PI = 2.0 * np.pi
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
-    line = f"ACCEPTANCE {num:02d}: {status} - {desc}"
+    line = f"ACCEPTANCE {num:0>2}: {status} - {desc}"
     if detail:
         line += f" ({detail})"
     print(line)
@@ -104,6 +104,27 @@ def test_criterion_03_sup_error_rate_trend():
         f"slope {fitted.slope:.3f} (target 1/3), {elapsed:.1f}s",
     )
 
+
+
+def test_criterion_03b_sup_error_rate_trend_d2():
+    # Criterion 03 in d = 2: the window [0.15, 0.60] around the d = 1 target
+    # 1/3, scaled to the d = 2 target 1/4 of the rate (log n / n)^(1/(d+2)).
+    start = time.perf_counter()
+    ns = (1024, 4096, 16384, 65536)
+    summary = mr.monte_carlo(
+        mr.McConfig(function=PlantedFunction((0.5, 0.4), (1, 1), (0.3, 0.9), 0.2), d=2,
+                    sigma=0.12, n_sweep=ns, methods=("knn",), trials=10, base_seed=700, C=0.09)
+    )
+    errors = [summary.cell(n, "knn").means["wrap_sup_denoised"] for n in ns]
+    fitted = mr.rate_fit(ns, errors)
+    elapsed = time.perf_counter() - start
+    ok = 0.1125 <= fitted.slope <= 0.45 and elapsed < 300.0
+    _report(
+        "03b",
+        "d = 2 max-wrap-error slope vs log(log n / n) within [0.1125, 0.45]",
+        ok,
+        f"slope {fitted.slope:.3f} (target 1/4), {elapsed:.1f}s",
+    )
 
 # ---------------------------------------------------------------------------
 # 4. Expected-risk bound

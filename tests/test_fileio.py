@@ -1,7 +1,14 @@
+import itertools
+import json
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from conftest import read_field_rowwise, write_field_rowwise
+from modrec import fileio
+from modrec.cli import main
 from modrec.fileio import (
     READ_BLOCK_BYTES,
     WRITE_BLOCK_ROWS,
@@ -305,3 +312,187 @@ def test_report_round_trip(tmp_path):
 def test_report_handles_numpy_scalars():
     doc = report_to_json({"a": np.float64(0.5), "b": np.int64(3), "c": np.bool_(True)})
     assert '"a": 0.5' in doc and '"b": 3' in doc and '"c": true' in doc
+
+
+# ---------------------------------------------------------------------------
+# Outputs are replaced, not truncated, where no one can tell
+
+
+def _field(m: int, seed: int) -> GridField:
+    return GridField(UniformGrid(1, m), np.random.default_rng(seed).uniform(size=m), kind="mod1")
+
+
+def _oracle_bytes(tmp_path, fld: GridField) -> bytes:
+    path = tmp_path / "oracle.gf"
+    write_field_rowwise(path, fld)
+    return path.read_bytes()
+
+
+def _same_inode_after(write, path) -> bool:
+    """Whether ``write()`` leaves ``path`` on the inode it had.  An open handle
+    keeps the old inode alive, so its number cannot be reused."""
+    with open(path, "rb") as old:
+        write()
+        return os.stat(path).st_ino == os.fstat(old.fileno()).st_ino
+
+
+@pytest.mark.parametrize("m_before", [50, 5000])
+def test_overwrite_replaces_the_file(tmp_path, m_before):
+    p = tmp_path / "f.gf"
+    write_field(p, _field(m_before, 1))
+    new = _field(300, 2)
+    assert not _same_inode_after(lambda: write_field(p, new), p)
+    assert p.read_bytes() == _oracle_bytes(tmp_path, new)
+
+
+def test_overwrite_through_a_symlink_writes_the_target(tmp_path):
+    target, link = tmp_path / "target.gf", tmp_path / "link.gf"
+    write_field(target, _field(40, 1))
+    link.symlink_to(target.name)
+    new = _field(30, 2)
+    write_field(link, new)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == _oracle_bytes(tmp_path, new)
+
+
+def test_overwrite_of_a_hard_linked_file_shows_under_both_names(tmp_path):
+    a, b = tmp_path / "a.gf", tmp_path / "b.gf"
+    write_field(a, _field(40, 1))
+    os.link(a, b)
+    new = _field(30, 2)
+    write_field(a, new)
+    assert os.path.samefile(a, b)
+    assert a.read_bytes() == b.read_bytes() == _oracle_bytes(tmp_path, new)
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o666, 0o755])
+def test_overwrite_keeps_the_permission_bits(tmp_path, mode):
+    p = tmp_path / "r.json"
+    write_report(p, {"a": 1})
+    os.chmod(p, mode)
+    old_umask = os.umask(0o077)  # would trim every one of these modes
+    try:
+        write_report(p, {"a": 2})
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(os.stat(p).st_mode) == mode
+    assert read_report(p)["a"] == 2
+
+
+def test_a_file_the_caller_may_not_write_is_opened_in_place(tmp_path, monkeypatch):
+    p = tmp_path / "locked.gf"
+    write_field(p, _field(40, 1))
+    os.chmod(p, 0o444)
+    if os.geteuid() != 0:
+        with pytest.raises(PermissionError):
+            write_field(p, _field(30, 2))
+        assert p.read_bytes() == _oracle_bytes(tmp_path, _field(40, 1))
+        return
+    # root may write any file, so only a patched access check reaches this case
+    monkeypatch.setattr(fileio.os, "access", lambda path, mode: False)
+    new = _field(30, 2)
+    assert _same_inode_after(lambda: write_field(p, new), p)  # truncated, as open(path, "w") does
+    assert stat.S_IMODE(os.stat(p).st_mode) == 0o444
+    assert p.read_bytes() == _oracle_bytes(tmp_path, new)
+
+
+def test_a_file_that_cannot_be_unlinked_is_opened_in_place(tmp_path, monkeypatch):
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    p = tmp_path / "r.json"
+    write_report(p, {"a": 1})
+    monkeypatch.setattr(fileio.os, "unlink", refuse)  # as in a directory the caller may not write
+    assert _same_inode_after(lambda: write_report(p, {"a": 2}), p)
+    assert read_report(p)["a"] == 2
+
+
+def test_only_a_plain_file_of_the_caller_is_replaceable(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("x")
+    assert fileio._replaceable_mode(plain) == stat.S_IMODE(os.stat(plain).st_mode)
+    assert fileio._replaceable_mode(tmp_path / "missing") is None
+    assert fileio._replaceable_mode(tmp_path) is None
+    link = tmp_path / "link"
+    link.symlink_to(plain.name)
+    assert fileio._replaceable_mode(link) is None
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert fileio._replaceable_mode(fifo) is None
+    os.link(plain, tmp_path / "second")
+    assert fileio._replaceable_mode(plain) is None
+
+
+def test_another_users_file_is_opened_in_place(tmp_path):
+    if os.geteuid() != 0:
+        pytest.skip("only root can give a file to another user")
+    p = tmp_path / "theirs.json"
+    write_report(p, {"a": 1})
+    os.chown(p, 4321, 4321)
+    assert _same_inode_after(lambda: write_report(p, {"a": 2}), p)
+    assert (os.stat(p).st_uid, os.stat(p).st_gid) == (4321, 4321)
+    assert read_report(p)["a"] == 2
+
+
+def test_a_file_with_an_extended_attribute_is_opened_in_place(tmp_path):
+    p = tmp_path / "tagged.json"
+    write_report(p, {"a": 1})
+    try:
+        os.setxattr(p, "user.note", b"keep")
+    except (AttributeError, OSError):
+        pytest.skip("no user extended attributes here")
+    assert _same_inode_after(lambda: write_report(p, {"a": 2}), p)
+    assert os.getxattr(p, "user.note") == b"keep"
+    assert read_report(p)["a"] == 2
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_an_interrupted_write_leaves_a_file_the_reader_rejects(tmp_path, monkeypatch, existing):
+    m = 3 * WRITE_BLOCK_ROWS
+    p = tmp_path / "cut.gf"
+    if existing:
+        write_field(p, _field(m, 1))  # a complete field of the same grid
+    new = _field(m, 2)
+    original = fileio._index_strings
+
+    def killed_after_first_block(grid):
+        yield from itertools.islice(original(grid), WRITE_BLOCK_ROWS)
+        raise KeyboardInterrupt("killed mid-write")
+
+    monkeypatch.setattr(fileio, "_index_strings", killed_after_first_block)
+    with pytest.raises(KeyboardInterrupt):
+        write_field(p, new)
+    want = _oracle_bytes(tmp_path, new).splitlines(keepends=True)[: WRITE_BLOCK_ROWS + 1]
+    assert p.read_bytes() == b"".join(want)
+    with pytest.raises(FormatError, match=f"found {WRITE_BLOCK_ROWS} data rows"):
+        read_field(p)
+
+
+def test_cli_outputs_written_twice_are_byte_identical(tmp_path, capsys):
+    terrain = tmp_path / "terrain.txt"
+    ax = np.linspace(-1, 1, 16)
+    cone = 700.0 * (1.0 - np.maximum(np.abs(ax[:, None]), np.abs(ax[None, :])))
+    terrain.write_text("\n".join(" ".join(f"{v:.6f}" for v in row) for row in cone) + "\n")
+    y, t, f = tmp_path / "y.gf", tmp_path / "t.gf", tmp_path / "f.gf"
+    mc, csv, demo = tmp_path / "mc.json", tmp_path / "mc.csv", tmp_path / "demo"
+    commands = [
+        ["gen", "--func", "example1", "--d", "1", "--m", "300", "--sigma", "0.1",
+         "--seed", "3", "--out", str(y), "--truth-out", str(t)],
+        ["recover", "--in", str(y), "--k-rule", "practical", "--out", str(f)],
+        ["mc", "--func", "example1", "--n-sweep", "64,128", "--trials", "2", "--seed", "5",
+         "--methods", "knn", "--out", str(mc), "--csv", str(csv)],
+        ["demo-elevation", "--in", str(terrain), "--scale", "500", "--sigma", "0.05",
+         "--k", "9", "--seed", "2", "--out-dir", str(demo)],
+    ]
+    outputs = [y, t, f, mc, csv, *(demo / f"{name}.gf" for name in
+               ("truth", "noisy_mod", "denoised_mod", "unwrapped", "unwrapped_raw")),
+               demo / "report.json"]
+    runs = []
+    for _ in range(2):
+        printed = []
+        for argv in commands:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr())
+        runs.append((printed, [path.read_bytes() for path in outputs]))
+    assert runs[0] == runs[1]
+    assert json.loads(mc.read_bytes())["schema_version"] == 1

@@ -310,6 +310,22 @@ def test_bandwidth_rules_name_non_finite_inputs(bad):
             rule(1, 0.1, bad, 1000)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda sigma, M: RiskBoundInputs(d=1, sigma=sigma, M=M, n=100, k=5),
+        lambda sigma, M: sup_error_scale(1, sigma, M, 100),
+    ],
+    ids=["RiskBoundInputs", "sup_error_scale"],
+)
+def test_bound_evaluators_name_non_finite_inputs(evaluator, bad):
+    with pytest.raises(ValueError, match=f"sigma must be a finite number >= 0, got {bad}"):
+        evaluator(bad, 1.0)
+    with pytest.raises(ValueError, match=f"M must be a finite number above 0, got {bad}"):
+        evaluator(0.1, bad)
+
 # ---------------------------------------------------------------------------
 # Bounds
 

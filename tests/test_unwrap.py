@@ -177,6 +177,14 @@ def test_itoh_check_examples():
         itoh_check(0.1, 1.0, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_itoh_check_names_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match=f"delta must be a finite number >= 0, got {bad}"):
+        itoh_check(bad, 1.0, 11)
+    with pytest.raises(ValueError, match=f"M must be a finite number above 0, got {bad}"):
+        itoh_check(0.1, bad, 11)
+
+
 @pytest.mark.parametrize("d, m", [(1, 50), (2, 7), (3, 4)])
 def test_unwrap_result_invariants(d, m):
     grid = UniformGrid(d, m)

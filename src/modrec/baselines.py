@@ -4,11 +4,14 @@ Both drop the per-entry unit-modulus constraint of the torus problem.  The
 unconstrained relaxation minimizes ||g - z||^2 + lam * g^* L g over all of C^n,
 i.e. solves (I + lam*L) g = z.  The sphere relaxation keeps only the aggregate
 constraint ||g||^2 = n, whose stationarity system is (lam*L + mu*I) g = z with
-a positive multiplier mu fixed by the norm constraint; mu is found by
-bisection on the strictly decreasing secular function
-phi(mu) = ||(lam*L + mu*I)^{-1} z||^2 - n.  The graph is connected, so the
-null space of L is span(1): the constant mode mean(z)/mu of the solution is
-exact, and the root is bracketed in closed form by [|mean(z)|, ||z||/sqrt(n)].
+a positive multiplier mu fixed by the norm constraint.  With
+g(mu) = (lam*L + mu*I)^{-1} z, mu is the root of
+psi(mu) = 1/||g(mu)|| - 1/sqrt(n), which is increasing, concave and close to
+linear in mu (More and Sorensen, "Computing a trust region step", 1983); a
+safeguarded secant search (regula falsi with the Illinois rule) finds it.
+The graph is connected, so the null space of L is span(1): the constant mode
+mean(z)/mu of the solution is exact, and the root is bracketed in closed
+form by [|mean(z)|, ||z||/sqrt(n)].
 
 Inner systems are Hermitian positive definite and solved by plain conjugate
 gradients (the graphs here are sparse paths and neighborhoods).  Both methods
@@ -104,7 +107,7 @@ class TrsResult:
     mu: float
     norm_sq: float
     stationarity_inf: float
-    bisect_iterations: int  # secular evaluations after the first
+    bisect_iterations: int  # secular evaluations (root-search steps) after the first
     cg_iterations: int  # CG iterations of every inner solve, hard-case check included
 
 
@@ -114,18 +117,29 @@ def solve_trs(
     lam: float,
     bisect_tol: float = 1e-10,
 ) -> TrsResult:
-    """Sphere-constrained smoothing via bisection on the secular function.
+    """Sphere-constrained smoothing via a secant search on the secular equation.
 
     Finds mu > 0 with ||g||^2 = n for g = (lam*L + mu*I)^{-1} z.  L has null
     space span(1) (the graph is connected), so the constant part c = mean(z)
     of z maps exactly to c/mu, and CG solves only for z - c, re-centred to
     mean 0 so that rounding drift along 1 cannot build up.  The root lies in
     [|c|, ||z||/sqrt(n)]: at |c| the constant part alone has norm^2 n, and
-    ||g|| <= ||z||/mu.  Bisection starts at the upper end and stops once the
-    norm defect is within bisect_tol * n; a midpoint equal to an endpoint
-    raises NumericError.  |c| <= n*eps (the rounding of a sum of n unit
-    entries) counts as c = 0; then phi(0+) = ||(lam*L)^+ (z - c)||^2 - n, and
-    HardCaseError is raised when that is not positive.
+    ||g|| <= ||z||/mu.  |c| <= n*eps (the rounding of a sum of n unit
+    entries) counts as c = 0; then psi(0+) comes from g = (lam*L)^+ (z - c),
+    and HardCaseError is raised when ||g||^2 <= n there.
+
+    The search starts at the upper end and stops once the norm defect is
+    within bisect_tol * n.  Each secular evaluation is one CG solve, warm
+    started from the previous one, and replaces the end of the bracket on
+    its side of the root.  The next mu is the regula falsi point: the zero
+    of the secant of psi between the two ends.  Illinois rule: when an
+    evaluation moves the same end as the one before it, the psi kept for
+    the other end is halved, so that end moves too.  The next mu is the
+    midpoint instead while psi is known at one end only, or when the
+    secant point is not strictly inside the bracket.  So the search
+    terminates: every step is a float strictly inside (lo, hi) that becomes
+    one of its ends, the bracket holds fewer floats after each step, and a
+    midpoint equal to an endpoint raises NumericError.
 
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
@@ -159,26 +173,45 @@ def solve_trs(
         cg_iters += iters
         return x - np.mean(x)
 
-    if c == 0.0:
-        x = centred_solve(0.0)
-        if float(np.real(np.vdot(x, x))) <= n:
-            raise HardCaseError("no positive multiplier: mean(z) = 0 and ||(lam L)^+ z||^2 <= n")
+    def psi(norm_sq):
+        # sqrt(n) * (1/||g|| - 1/sqrt(n)), written without cancellation so
+        # that its sign is the sign of n - ||g||^2.
+        return float((n - norm_sq) / (np.sqrt(norm_sq) * (np.sqrt(n) + np.sqrt(norm_sq))))
 
     lo, hi = abs(c), float(np.linalg.norm(z) / np.sqrt(n))
-    mu, x, iters = hi, None, 0
+    psi_lo = psi_hi = None  # psi at the ends of the bracket, once evaluated there
+    if c == 0.0:
+        x = centred_solve(0.0)
+        norm_sq = float(np.real(np.vdot(x, x)))
+        if norm_sq <= n:
+            raise HardCaseError("no positive multiplier: mean(z) = 0 and ||(lam L)^+ z||^2 <= n")
+        psi_lo = psi(norm_sq)
+
+    mu, x, iters, side = hi, None, 0, 0
     while True:
         x = centred_solve(mu, x0=x)
         g = x + c / mu
         norm_sq = float(np.real(np.vdot(g, g)))
         if abs(norm_sq - n) <= bisect_tol * n:
             break
+        # Illinois rule (see the docstring); side is the end moved last.
         if norm_sq > n:
-            lo = mu
+            lo, psi_lo = mu, psi(norm_sq)
+            if side < 0 and psi_hi is not None:
+                psi_hi *= 0.5
+            side = -1
         else:
-            hi = mu
+            hi, psi_hi = mu, psi(norm_sq)
+            if side > 0 and psi_lo is not None:
+                psi_lo *= 0.5
+            side = 1
         mu = 0.5 * (lo + hi)
+        if psi_lo is not None and psi_hi is not None:
+            secant = hi - psi_hi * (hi - lo) / (psi_hi - psi_lo)
+            if lo < secant < hi:
+                mu = secant
         if not lo < mu < hi:
-            raise NumericError(f"secular bisection stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
+            raise NumericError(f"secular root search stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
         iters += 1
 
     stationarity = float(np.max(np.abs(lam * laplacian_apply(graph, g) + mu * g - z)))

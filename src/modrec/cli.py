@@ -6,7 +6,7 @@ has no default of its own: an omitted flag is not passed, so the library
 default applies.  --tol is the stopping tolerance of the solver the command
 runs: the Riemannian gradient sup norm for qcqp and certify, the relative
 conjugate-gradient residual for ucqp, and the relative norm defect
-|(||g||^2 - n)/n| of the secular bisection for trs.
+|(||g||^2 - n)/n| of the secular root search for trs.
 
 Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure
@@ -289,7 +289,12 @@ def _run(args) -> int:
             signal, info = res.signal, {"residual_inf": res.residual_inf}
         elif args.command == "trs":
             res = baselines.solve_trs(z, graph, args.lam, **_given(bisect_tol=args.tol))
-            signal, info = res.signal, {"mu": res.mu, "norm_sq": res.norm_sq}
+            signal, info = res.signal, {
+                "mu": res.mu,
+                "norm_sq": res.norm_sq,
+                "secular_evaluations": res.bisect_iterations + 1,
+                "cg_iterations": res.cg_iterations,
+            }
         else:
             problem = qcqp.QcqpProblem(z=z, graph=graph, lam=args.lam)
             report = qcqp.solve_qcqp(problem, **_given(tol=args.tol))

@@ -5,6 +5,7 @@ from conftest import trs_dense
 from modrec import baselines
 from modrec.baselines import HardCaseError, lambda_schedule, solve_trs, solve_ucqp
 from modrec.graphs import grid_graph, path_graph, quadratic_form
+from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import QcqpProblem, objective, solve_qcqp
 
 TWO_PI = 2.0 * np.pi
@@ -117,7 +118,17 @@ def _alternating(shape):
     return graph, np.where(parity == 0, 1.0, -1.0).astype(complex)
 
 
-@pytest.mark.parametrize("shape, lam", [((64,), 50.0), ((256,), 100.0), ((8, 8), 50.0), ((16, 16), 20.0)])
+# Secular evaluations and CG iterations that bisection on the secular
+# equation took on each near-hard input: the root search may not take more.
+NEAR_HARD_CEILINGS = {
+    ((64,), 50.0): (60, 1671),
+    ((256,), 100.0): (60, 6699),
+    ((8, 8), 50.0): (59, 294),
+    ((16, 16), 20.0): (60, 642),
+}
+
+
+@pytest.mark.parametrize("shape, lam", list(NEAR_HARD_CEILINGS))
 def test_trs_near_hard_case(shape, lam):
     # The last entry turned by 1e-6 rad leaves a constant component of about
     # 1e-6/n: the root mu* is that small, and the constant mode carries
@@ -129,6 +140,9 @@ def test_trs_near_hard_case(shape, lam):
     assert abs(r.norm_sq - n) <= 1e-10 * n
     assert 0.0 < r.mu < 1e-6
     assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-8
+    evaluations, cg_iterations = NEAR_HARD_CEILINGS[shape, lam]
+    assert r.bisect_iterations + 1 <= evaluations
+    assert r.cg_iterations <= cg_iterations
 
 
 def test_trs_zero_constant_component():
@@ -139,6 +153,10 @@ def test_trs_zero_constant_component():
     r = solve_trs(z, graph, 0.1)
     assert abs(r.norm_sq - 8.0) <= 1e-10 * 8
     assert np.max(np.abs(r.raw - trs_dense(graph, z, 0.1))) <= 1e-9
+    # psi is far from linear between mu = 0 and the upper end here: plain
+    # regula falsi keeps the lower end and takes 18 evaluations, the
+    # Illinois rule 7 (bisection took 35).
+    assert r.bisect_iterations + 1 <= 8
     with pytest.raises(HardCaseError):
         solve_trs(z, graph, 2.0)
 
@@ -153,6 +171,24 @@ def test_trs_matches_dense_oracle_sweep():
         r = solve_trs(z, graph, lam)
         assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n, k
         assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9, k
+
+
+@pytest.mark.parametrize(
+    "function, d, m, max_evaluations",
+    [("example1", 1, 1024, 8), (PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), 2, 16, 15)],
+)
+def test_trs_few_secular_evaluations(function, d, m, max_evaluations):
+    # Sweep-sized fields at sigma = 0.12 and the sweep's lambda schedule.
+    # Bisection took 34 (path) and 36 (grid) secular evaluations here.
+    data = generate(SyntheticSpec(function=function, d=d, m=m, sigma=0.12, seed=0))
+    z = np.exp(2j * np.pi * data.noisy_mod.flat)
+    n = data.noisy_mod.grid.n
+    graph = path_graph(n) if d == 1 else grid_graph(d, m)
+    lam = lambda_schedule(0.04, n)
+    r = solve_trs(z, graph, lam)
+    assert abs(r.norm_sq - n) <= 1e-10 * n
+    assert r.bisect_iterations + 1 <= max_evaluations
+    assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9
 
 
 def test_trs_counts_every_cg_iteration(monkeypatch):

@@ -186,7 +186,10 @@ def test_omitted_flags_take_the_library_defaults(tmp_path, capsys):
     expected = {
         "qcqp": (rep.ghat, torus),
         "ucqp": (uc.signal, {"residual_inf": uc.residual_inf}),
-        "trs": (tr.signal, {"mu": tr.mu, "norm_sq": tr.norm_sq}),
+        "trs": (tr.signal, {
+            "mu": tr.mu, "norm_sq": tr.norm_sq,
+            "secular_evaluations": tr.bisect_iterations + 1, "cg_iterations": tr.cg_iterations,
+        }),
         "certify": (None, {
             **torus, "tight": cert.tight, "indeterminate": cert.indeterminate,
             "schur_min_eig": cert.schur_min_eig, "threshold": cert.threshold,

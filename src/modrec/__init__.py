@@ -41,7 +41,6 @@ from .graphs import (
 from .grid import (
     GridField,
     UniformGrid,
-    grid_point,
     iter_lex,
     knn_radius,
     knn_radius_sup,
@@ -86,6 +85,6 @@ from .qcqp import (
     solve_qcqp,
     tangent_project,
 )
-from .unwrap import ItohReport, UnwrapResult, branch_correct, itoh_check, unwrap_1d, unwrap_multid
+from .unwrap import ItohReport, UnwrapResult, itoh_check, unwrap_multid
 
 __version__ = "0.1.0"

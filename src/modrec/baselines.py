@@ -43,8 +43,10 @@ class NumericError(RuntimeError):
     """An inner iterative solve failed to reach its tolerance."""
 
 
-def conjugate_gradient(apply_A, b: np.ndarray, tol: float, max_iter: int, x0=None):
-    """CG for Hermitian positive definite systems; returns (x, rel_residual, iters)."""
+def conjugate_gradient(apply_A, b: np.ndarray, tol: float, x0=None):
+    """CG for Hermitian positive definite systems; returns (x, iters).
+
+    The iteration cap is 10 * max(b.size, 50)."""
     b = np.asarray(b, dtype=complex)
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).copy()
     r = b - apply_A(x)
@@ -52,10 +54,11 @@ def conjugate_gradient(apply_A, b: np.ndarray, tol: float, max_iter: int, x0=Non
     rs = float(np.real(np.vdot(r, r)))
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros_like(b), 0.0, 0
+        return np.zeros_like(b), 0
+    max_iter = 10 * max(b.size, 50)
     for it in range(1, max_iter + 1):
         if np.sqrt(rs) <= tol * b_norm:
-            return x, np.sqrt(rs) / b_norm, it - 1
+            return x, it - 1
         Ap = apply_A(p)
         alpha = rs / float(np.real(np.vdot(p, Ap)))
         x = x + alpha * p
@@ -64,7 +67,7 @@ def conjugate_gradient(apply_A, b: np.ndarray, tol: float, max_iter: int, x0=Non
         p = r + (rs_new / rs) * p
         rs = rs_new
     if np.sqrt(rs) <= tol * b_norm:
-        return x, np.sqrt(rs) / b_norm, max_iter
+        return x, max_iter
     raise NumericError(
         f"conjugate gradients stalled at relative residual {np.sqrt(rs) / b_norm:.3e}"
     )
@@ -90,7 +93,7 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-1
     def apply_A(v):
         return v + lam * laplacian_apply(graph, v)
 
-    raw, _, iters = conjugate_gradient(apply_A, z, cg_tol, 10 * graph.n)
+    raw, iters = conjugate_gradient(apply_A, z, cg_tol)
     residual = float(np.max(np.abs(apply_A(raw) - z)))
     return UcqpResult(
         signal=np.asarray(project_to_circle(raw)),
@@ -169,7 +172,7 @@ def solve_trs(
         def apply_A(v):
             return lam * laplacian_apply(graph, v) + mu * v
 
-        x, _, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, 10 * max(n, 50), x0=x0)
+        x, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, x0=x0)
         cg_iters += iters
         return x - np.mean(x)
 

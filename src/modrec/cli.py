@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure
 (e.g. a sphere-relaxation hard case).  Give a negative value with "=", as in
 --lambda=-inf: argparse reads "--lambda -inf" as a flag, not a value.
+rate exits 2 on a non-finite error, so "rate --report" on an mc cell whose
+trials all failed (NaN means) is a data error.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _build_parser() -> _Parser:
     ra.add_argument("--errors", type=_csv(float))
     ra.add_argument("--report", help="mc JSON report to read instead of --ns/--errors")
     ra.add_argument("--method", default="knn")
-    ra.add_argument("--metric", default="wrap_sup_denoised")
+    ra.add_argument("--metric", choices=harness.METRIC_NAMES, default="wrap_sup_denoised")
 
     de = sub.add_parser(
         "demo-elevation", help="terrain recovery demo from a plain-text elevation grid"
@@ -352,11 +354,16 @@ def _run(args) -> int:
     if args.command == "rate":
         if args.report:
             doc = fileio.read_report(args.report)
-            pairs = [
-                (cell["n"], cell["means"][args.metric])
-                for cell in doc["cells"]
-                if cell["method"] == args.method
-            ]
+            try:
+                pairs = [
+                    (cell["n"], cell["means"][args.metric])
+                    for cell in doc["cells"]
+                    if cell["method"] == args.method
+                ]
+            except (KeyError, TypeError):
+                raise fileio.FormatError(
+                    "not an mc report: need a list of cells with n, method and means"
+                ) from None
             if len(pairs) < 3:
                 raise UsageError("report has fewer than 3 cells for that method")
             ns, errors = zip(*sorted(pairs))

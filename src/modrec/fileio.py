@@ -6,11 +6,10 @@ Grid fields are plain text with a one-line header
 
 then one line per grid point in lexicographic index order: the
 comma-separated 1-based index components, then the value printed with 17
-significant digits (which round-trips binary64 exactly).  The reader also
-accepts ``#meta <key>=<value>`` lines after the header, which the writer
-never emits, and skips blank lines and any other line that starts with
-``#``.  All writers emit deterministic byte streams for identical inputs:
-keys are sorted and float formatting is fixed.
+significant digits (which round-trips binary64 exactly).  The reader skips
+blank lines and every line after the header that starts with ``#``.  All
+writers emit deterministic byte streams for identical inputs: keys are
+sorted and float formatting is fixed.
 
 Fields are written and parsed in blocks of rows.  A file the block parse
 rejects is walked again one row at a time, and the reader raises the
@@ -52,7 +51,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -74,7 +73,6 @@ class GridFileHeader:
     m: int
     kind: str
     seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
 
 WRITE_BLOCK_ROWS = 4096  # rows formatted per write
@@ -168,16 +166,7 @@ def read_header(path) -> GridFileHeader:
         kind = fields["kind"]
         if kind not in ("mod1", "real"):
             raise FormatError(f"unknown kind {kind!r}", line=1)
-        meta = {}
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            if not line.startswith("#meta "):
-                break
-            body = line[len("#meta "):].rstrip("\n")
-            key, _, val = body.partition("=")
-            meta[key] = val
-        return GridFileHeader(d=d, m=m, kind=kind, seed=seed, meta=meta)
+        return GridFileHeader(d=d, m=m, kind=kind, seed=seed)
 
 
 def read_field(path) -> GridField:

@@ -45,22 +45,17 @@ class UniformGrid:
         return 1.0 / (self.m - 1)
 
     def axis_coords(self) -> np.ndarray:
-        # Same float op as grid_point: (i - 1)/(m - 1), not linspace's start+step*i.
         return np.arange(self.m, dtype=float) / (self.m - 1)
 
     def point(self, idx) -> np.ndarray:
-        return grid_point(self, idx)
-
-
-def grid_point(grid: UniformGrid, idx) -> np.ndarray:
-    """Coordinates ((i_j - 1)/(m - 1))_j of a 1-based multi-index."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != grid.d:
-        raise IndexError(f"index has {len(idx)} components, expected {grid.d}")
-    for i in idx:
-        if not 1 <= i <= grid.m:
-            raise IndexError(f"index component {i} outside [1, {grid.m}]")
-    return np.array([(i - 1) / (grid.m - 1) for i in idx], dtype=float)
+        """Coordinates ((i_j - 1)/(m - 1))_j of a 1-based multi-index."""
+        idx = tuple(int(i) for i in idx)
+        if len(idx) != self.d:
+            raise IndexError(f"index has {len(idx)} components, expected {self.d}")
+        for i in idx:
+            if not 1 <= i <= self.m:
+                raise IndexError(f"index component {i} outside [1, {self.m}]")
+        return self.axis_coords()[[i - 1 for i in idx]]
 
 
 def iter_lex(grid: UniformGrid):
@@ -129,6 +124,8 @@ def floor_root(k: int, d: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     s = round(k ** (1.0 / d))
     while s ** d > k:
         s -= 1

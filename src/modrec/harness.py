@@ -416,12 +416,17 @@ def rate_fit(ns, errors):
 
     Primary slope regresses log(error) on log(log(n)/n); an error decaying
     like (log(n)/n)^r has slope exactly r there.  The companion slope against
-    log(n) is also reported (negative for decaying errors).
+    log(n) is also reported (negative for decaying errors).  Non-finite
+    sample sizes or errors (the NaN means of an mc cell whose trials all
+    failed) raise ValueError.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if ns.size != errors.size or ns.size < 3:
         raise ValueError("need at least 3 (n, error) pairs")
+    for name, vals in (("sample sizes", ns), ("errors", errors)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} must be finite, got {vals.tolist()}")
     if np.any(ns <= 1) or np.any(errors <= 0):
         raise ValueError("sample sizes must exceed 1 and errors must be positive")
     y = np.log(errors)

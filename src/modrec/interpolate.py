@@ -46,7 +46,7 @@ def evaluate(model: InterpolantModel, x):
         pts = pts[None, :]
     if pts.shape[-1] != model.grid.d:
         raise ValueError(f"points must have {model.grid.d} coordinates")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):  # also rejects NaN
         raise ValueError("evaluation points must lie in [0,1]^d")
     m = model.grid.m
     t = pts * (m - 1)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .circle import TWO_PI, circle_arg
 from .grid import GridField, UniformGrid, _knn_axis_ranges, floor_root
+from .unwrap import itoh_check
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,8 @@ class SupErrorScale:
     """Uniform chord-error scale delta(n) and the two gates that use it.
 
     small_enough: delta(n) <= 2, so the bound is informative.
-    unwrap_feasible: delta(n) + 2*M/(m - 1) < 1, under which the branch
+    unwrap_feasible: delta(n) + 2*M/(m - 1) < 1, the resolution condition of
+    unwrap.itoh_check at wrap error delta(n)/4, under which the branch
     corrections of the unwrapping stage are exact.
     """
 
@@ -343,7 +345,7 @@ def sup_error_scale(d: int, sigma: float, M: float, n: int) -> SupErrorScale:
     gamma = 6.0 * (8.0 * np.pi * M) ** (d / (d + 2)) * (32.0 * c_sigma) ** (2.0 / (d + 2))
     value = gamma * (math.log(n) / n) ** (1.0 / (d + 2))
     m = floor_root(n, d)
-    feasible = m >= 2 and value + 2.0 * M / (m - 1) < 1.0
+    feasible = m >= 2 and itoh_check(value / 4.0, M, m).satisfied
     return SupErrorScale(
         value=float(value),
         small_enough=bool(value <= 2.0),

@@ -95,7 +95,24 @@ class SolveReport:
     backtracks: int  # step halvings summed over every line search
 
 
-def _descend(problem, tol):
+def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
+    """Projected Riemannian gradient descent with Armijo backtracking.
+
+    Step rule.  Gershgorin bounds the Laplacian by ||L|| <= 2*Delta (Delta
+    the max degree), and the radial factor |Re((lam*L*g - z) * conj(g))_i|
+    by 1 + 2*lam*Delta, so the Riemannian Hessian (see hessian_apply)
+    satisfies ||Hess|| <= 2*(1 + 4*lam*Delta).  Its inverse,
+    eta_safe = 1/(2*(1 + 4*lam*Delta)), is a step that contracts every mode
+    near a minimizer; it starts the first line search and any line search
+    whose last step saw no positive curvature.  Every other line search
+    starts at the Barzilai-Borwein step <s, s>/Re<s, y> (s the last step in
+    g, y the change in the Riemannian gradient), floored at eta_safe.
+    Backtracking halves the step until the Armijo sufficient decrease
+    holds, so the objective is monotone.  One descent runs, started at z
+    itself (the lam = 0 minimizer).  It seeks a first-order critical point;
+    whether that point is the global minimizer is for the certificate in
+    modrec.certificate to decide.  Non-convergence is reported, never raised.
+    """
     g = problem.z.copy()
     fg = objective(problem, g)
     lam_delta = problem.lam * problem.graph.max_degree
@@ -133,31 +150,10 @@ def _descend(problem, tol):
         g, fg, grad = g_new, f_new, grad_new
         it += 1
         gn = float(np.max(np.abs(grad)))
-    return g, fg, gn, it, gn <= tol, backtracks
-
-
-def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
-    """Projected Riemannian gradient descent with Armijo backtracking.
-
-    Step rule.  Gershgorin bounds the Laplacian by ||L|| <= 2*Delta (Delta
-    the max degree), and the radial factor |Re((lam*L*g - z) * conj(g))_i|
-    by 1 + 2*lam*Delta, so the Riemannian Hessian (see hessian_apply)
-    satisfies ||Hess|| <= 2*(1 + 4*lam*Delta).  Its inverse,
-    eta_safe = 1/(2*(1 + 4*lam*Delta)), is a step that contracts every mode
-    near a minimizer; it starts the first line search and any line search
-    whose last step saw no positive curvature.  Every other line search
-    starts at the Barzilai-Borwein step <s, s>/Re<s, y> (s the last step in
-    g, y the change in the Riemannian gradient), floored at eta_safe.
-    Backtracking halves the step until the Armijo sufficient decrease
-    holds, so the objective is monotone.  One descent runs, started at z
-    itself (the lam = 0 minimizer).  It seeks a first-order critical point;
-    whether that point is the global minimizer is for the certificate in
-    modrec.certificate to decide.  Non-convergence is reported, never raised.
-    """
-    g, fg, gn, it, ok, backtracks = _descend(problem, tol)
     g.setflags(write=False)
     return SolveReport(
-        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=ok, backtracks=backtracks
+        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=gn <= tol,
+        backtracks=backtracks,
     )
 
 

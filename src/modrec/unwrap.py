@@ -45,28 +45,11 @@ class UnwrapResult:
     ftilde: np.ndarray
     branch_counts: BranchCounts
     itoh_margin: float
-    grid: UniformGrid | None = None
+    grid: UniformGrid
 
     @property
     def field(self) -> GridField:
-        if self.grid is None:
-            raise ValueError("no grid attached to this result")
         return GridField(self.grid, self.ftilde, kind="real")
-
-
-def branch_correct(a: float) -> float:
-    """Branch-corrected difference in [-1/2, 1/2] for |a| < 1.
-
-    Exact half-integer inputs are returned unchanged; under the resolution
-    condition they cannot occur.
-    """
-    if not np.isfinite(a) or abs(a) >= 1.0:
-        raise ValueError("difference must satisfy |a| < 1")
-    if a < -0.5:
-        return a + 1.0
-    if a > 0.5:
-        return a - 1.0
-    return float(a)
 
 
 def _branch_correct_array(a: np.ndarray):
@@ -80,23 +63,6 @@ def _branch_correct_array(a: np.ndarray):
         np.count_nonzero(mag == 0.5),
     ]
     return corr, counts
-
-
-def unwrap_1d(ghat) -> UnwrapResult:
-    """Cumulative branch-corrected unwrapping of a 1-D mod-1 sequence: unwrap_multid
-    on the 1-D grid of g.size points (a single sample has no grid)."""
-    g = np.asarray(ghat, dtype=float).reshape(-1)
-    if g.size < 1:
-        raise ValueError("need at least one sample")
-    if not np.all((g >= 0.0) & (g < 1.0)):  # also rejects NaN
-        raise ValueError("mod1 values must lie in [0, 1)")
-    if g.size == 1:
-        return UnwrapResult(
-            ftilde=g.copy(),
-            branch_counts=BranchCounts(0, 0, 0, 0),
-            itoh_margin=0.5,
-        )
-    return unwrap_multid(GridField(UniformGrid(1, g.size), g, kind="mod1"))
 
 
 def unwrap_multid(ghat: GridField) -> UnwrapResult:

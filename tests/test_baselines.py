@@ -196,9 +196,9 @@ def test_trs_counts_every_cg_iteration(monkeypatch):
     inner = baselines.conjugate_gradient
 
     def counting(*args, **kwargs):
-        x, res, iters = inner(*args, **kwargs)
+        x, iters = inner(*args, **kwargs)
         counted.append(iters)
-        return x, res, iters
+        return x, iters
 
     monkeypatch.setattr(baselines, "conjugate_gradient", counting)
     rng = np.random.default_rng(89)

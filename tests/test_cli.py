@@ -9,7 +9,7 @@ from modrec.circle import circle_arg, circle_embed
 from modrec.cli import main
 from modrec.fileio import read_elevation, read_field, read_report, report_to_json, write_field
 from modrec.graphs import path_graph
-from modrec.grid import GridField
+from modrec.grid import GridField, UniformGrid
 from modrec.harness import McConfig, SyntheticSpec, elevation_demo, generate, monte_carlo, run_pipeline
 from modrec.knn import choose_k_practical
 from modrec.qcqp import QcqpProblem, solve_qcqp
@@ -330,6 +330,43 @@ def test_mc_and_rate_commands(tmp_path, capsys):
     assert "slope" in json.loads(out)
     code, out, _ = run(capsys, "rate", "--ns", "10,100,1000", "--errors", "0.3,0.1,0.03")
     assert code == 0
+
+
+_REPORTS = {
+    "empty": "{}\n",
+    "list": "[1]\n",
+    "no_means": '{"cells": [{"n": 16, "method": "knn"}]}\n',
+    "all_failed": json.dumps(
+        {"cells": [{"n": n, "method": "knn", "means": {"wrap_sup_denoised": float("nan")}}
+                   for n in (16, 64, 256)]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (("interp", "--in", "{y}", "--at", "nan"), 2, "data error: evaluation points must lie in"),
+        (("rate", "--report", "{mc}", "--metric", "bogus"), 1, "usage error: argument --metric"),
+        (("rate", "--report", "{empty}"), 2, "data error: not an mc report"),
+        (("rate", "--report", "{list}"), 2, "data error: not an mc report"),
+        (("rate", "--report", "{no_means}"), 2, "data error: not an mc report"),
+        (("rate", "--report", "{all_failed}"), 2, "data error: errors must be finite"),
+        (("mc", "--d", "0"), 1, "usage error: d must be >= 1"),
+        (("mc", "--d=-1"), 1, "usage error: d must be >= 1"),
+        (("rate", "--ns", "10,100,1000", "--errors", "nan,1,2"), 2,
+         "data error: errors must be finite"),
+    ],
+)
+def test_bad_inputs_exit_with_a_message_not_a_traceback(tmp_path, capsys, argv, code, prefix):
+    paths = {"y": tmp_path / "y.gf", "mc": tmp_path / "absent.json"}
+    write_field(paths["y"], GridField(UniformGrid(1, 5), np.linspace(0.0, 1.0, 5)))
+    for name, text in _REPORTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and "Traceback" not in err
 
 
 def test_interp_command(tmp_path, capsys):

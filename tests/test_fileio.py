@@ -13,6 +13,7 @@ from modrec.fileio import (
     READ_BLOCK_BYTES,
     WRITE_BLOCK_ROWS,
     FormatError,
+    GridFileHeader,
     read_elevation,
     read_field,
     read_header,
@@ -38,7 +39,7 @@ def test_field_round_trip(tmp_path):
         assert back.kind == kind and back.grid == grid
         assert np.array_equal(back.values, f.values)  # bitwise round trip
         header = read_header(path)
-        assert header.seed == 7 and header.meta == {}
+        assert header.seed == 7
 
 
 def test_field_deterministic_bytes(tmp_path):
@@ -53,9 +54,10 @@ def test_field_deterministic_bytes(tmp_path):
 
 
 def test_reader_accepts_meta_lines(tmp_path):
+    # A #meta line is an ordinary comment: the header ends on the first line.
     p = tmp_path / "meta.gf"
     p.write_text("#GRIDFIELD v1 d=1 m=2 kind=real seed=3\n#meta note=a=b\n#meta k=2\n1,0.5\n2,-1\n")
-    assert read_header(p).meta == {"note": "a=b", "k": "2"}
+    assert read_header(p) == GridFileHeader(d=1, m=2, kind="real", seed=3)
     assert np.array_equal(read_field(p).values, [0.5, -1.0])
 
 

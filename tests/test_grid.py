@@ -6,7 +6,6 @@ from modrec.grid import (
     GridField,
     UniformGrid,
     floor_root,
-    grid_point,
     iter_lex,
     knn_radius,
     knn_radius_sup,
@@ -16,16 +15,16 @@ from modrec.grid import (
 
 def test_grid_point_examples():
     g = UniformGrid(d=1, m=11)
-    assert grid_point(g, (1,)) == pytest.approx([0.0])
-    assert grid_point(g, (11,)) == pytest.approx([1.0])
+    assert g.point((1,)) == pytest.approx([0.0])
+    assert g.point((11,)) == pytest.approx([1.0])
     g2 = UniformGrid(d=2, m=3)
-    assert grid_point(g2, (2, 3)) == pytest.approx([0.5, 1.0])
+    assert g2.point((2, 3)) == pytest.approx([0.5, 1.0])
     with pytest.raises(IndexError):
-        grid_point(g2, (0, 1))
+        g2.point((0, 1))
     with pytest.raises(IndexError):
-        grid_point(g2, (1, 4))
+        g2.point((1, 4))
     with pytest.raises(IndexError):
-        grid_point(g2, (1,))
+        g2.point((1,))
 
 
 def test_grid_validation():
@@ -111,6 +110,12 @@ def test_floor_root_around_powers(d):
         assert floor_root(s ** d, d) == s
     with pytest.raises(ValueError):
         floor_root(-1, d)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_floor_root_rejects_dimension_below_one(d):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        floor_root(16, d)
 
 
 def test_knn_radius_sup_brute_force_corner_and_fine_grid():

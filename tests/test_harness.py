@@ -269,6 +269,7 @@ def test_mc_config_rejects_function_of_another_dimension(function, message):
         ({"C": np.nan}, "C must be a finite number above 0, got nan"),
         ({"kappa": -1.0, "methods": ("ucqp",)}, "kappa must be finite and positive"),
         ({"kappa": np.nan, "methods": ("knn", "trs")}, "kappa must be finite and positive"),
+        ({"d": 0}, "d must be >= 1"),
     ],
 )
 def test_mc_config_rejects_values_its_trials_would_reject(settings, message):
@@ -331,6 +332,13 @@ def test_rate_fit_exact_synthetic():
         rate_fit([10, 20], [0.1, 0.2])
     with pytest.raises(ValueError):
         rate_fit([10, 20, 30], [0.1, -0.2, 0.3])
+    with pytest.raises(ValueError, match=r"errors must be finite, got \[nan, 1.0, 2.0\]"):
+        rate_fit([10, 100, 1000], [np.nan, 1.0, 2.0])
+    with pytest.raises(ValueError, match="errors must be finite"):
+        rate_fit([10, 100, 1000], [0.3, np.inf, 0.03])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample sizes must be finite"):
+            rate_fit([10, bad, 1000], [0.3, 0.1, 0.03])
 
 
 # ---------------------------------------------------------------------------

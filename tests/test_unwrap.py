@@ -6,55 +6,58 @@ from modrec.circle import mod1
 from modrec.grid import GridField, UniformGrid
 from modrec.grid import mesh_points
 from modrec.harness import PlantedFunction
-from modrec.unwrap import branch_correct, itoh_check, unwrap_1d, unwrap_multid
+from modrec.unwrap import BranchCounts, itoh_check, unwrap_multid
+
+
+def _unwrap_path(values):
+    """unwrap_multid on the 1-D grid of len(values) points."""
+    return unwrap_multid(GridField(UniformGrid(1, len(values)), values, kind="mod1"))
 
 
 def test_branch_correct_cases():
-    assert branch_correct(0.3) == 0.3
-    assert branch_correct(-0.8) == pytest.approx(0.2, abs=1e-15)
-    assert branch_correct(0.8) == pytest.approx(-0.2, abs=1e-15)
-    assert branch_correct(0.5) == 0.5
-    assert branch_correct(-0.5) == -0.5
-    for bad in (1.0, -1.0, 1.5, np.nan):
-        with pytest.raises(ValueError):
-            branch_correct(bad)
+    # (first sample, difference a, corrected difference, BranchCounts fields)
+    for start, a, corrected, counts in [
+        (0.1, 0.3, 0.3, (1, 0, 0, 0)),
+        (0.9, -0.8, 0.2, (0, 1, 0, 0)),
+        (0.1, 0.8, -0.2, (0, 0, 1, 0)),
+        (0.25, 0.5, 0.5, (1, 0, 0, 1)),  # |a| = 1/2 exactly is left alone
+        (0.75, -0.5, -0.5, (1, 0, 0, 1)),
+    ]:
+        r = _unwrap_path([start, start + a])
+        assert r.ftilde[1] - r.ftilde[0] == pytest.approx(corrected, abs=1e-15)
+        assert r.branch_counts == BranchCounts(*counts)
 
 
 def test_unwrap_1d_examples():
-    r = unwrap_1d([0.9, 0.1])
+    r = _unwrap_path([0.9, 0.1])
     assert np.allclose(r.ftilde, [0.9, 1.1], atol=1e-15)
     assert r.branch_counts.plus_one == 1
-    r = unwrap_1d([0.1, 0.9])
+    r = _unwrap_path([0.1, 0.9])
     assert np.allclose(r.ftilde, [0.1, -0.1], atol=1e-15)
     assert r.branch_counts.minus_one == 1
-    r = unwrap_1d([0.4])
-    assert r.ftilde.tolist() == [0.4]
-    for bad in ([0.1, 1.1], [np.nan], [0.1, np.nan, 0.2]):
-        with pytest.raises(ValueError, match="must lie in"):
-            unwrap_1d(bad)
+    for bad in ([0.1, 1.1], [0.1, np.nan, 0.2]):
+        with pytest.raises(ValueError, match="mod1 field"):
+            _unwrap_path(bad)
 
 
 def test_unwrap_1d_linear_function_exact():
     grid = UniformGrid(1, 11)
     f = 2.0 * grid.axis_coords()
-    r = unwrap_1d(np.asarray(mod1(f)))
+    r = _unwrap_path(np.asarray(mod1(f)))
     # Recovery is exact here (observed zero error; global shift q* = 0).
     assert np.max(np.abs(r.ftilde - f)) <= 1e-12
 
 
-def test_unwrap_1d_equals_multid_on_1d_fields():
+def test_unwrap_multid_on_1d_fields_is_the_cumulative_sum():
     rng = np.random.default_rng(37)
     for m in (2, 3, 17, 500):
         g = rng.uniform(size=m)
-        r1 = unwrap_1d(g)
-        rm = unwrap_multid(GridField(UniformGrid(1, m), g, kind="mod1"))
-        assert r1.ftilde.tobytes() == rm.ftilde.tobytes()
-        assert r1.branch_counts == rm.branch_counts and r1.itoh_margin == rm.itoh_margin
+        r = _unwrap_path(g)
         # The direct cumulative sum of branch-corrected differences, as an oracle.
         a = np.diff(g)
         corr = a + (a < -0.5) - (a > 0.5)
-        assert r1.ftilde.tobytes() == np.concatenate(([g[0]], g[0] + np.cumsum(corr))).tobytes()
-        assert r1.itoh_margin == 0.5 - np.max(np.abs(corr))
+        assert r.ftilde.tobytes() == np.concatenate(([g[0]], g[0] + np.cumsum(corr))).tobytes()
+        assert r.itoh_margin == 0.5 - np.max(np.abs(corr))
 
 
 def test_unwrap_multid_hand_example():

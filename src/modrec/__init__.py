@@ -61,7 +61,7 @@ from .harness import (
     rate_fit,
     run_pipeline,
 )
-from .interpolate import InterpolantModel, evaluate, fit
+from .interpolate import evaluate, fit
 from .knn import (
     RiskBoundInputs,
     choose_k_expected_risk,

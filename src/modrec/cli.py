@@ -79,15 +79,15 @@ def _at_least(low: int):
 
 
 def _graph_radius(spec: str):
-    """--graph value: None for the path graph, the radius r of knn-grid:<r>."""
+    """--graph value: None for the path graph, the radius r >= 1 of knn-grid:<r>."""
     if spec == "path":
         return None
     if spec.startswith("knn-grid:"):
         try:
-            return int(spec.split(":", 1)[1])
+            return _at_least(1)(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad graph radius in {spec!r}") from None
-    raise UsageError(f"unknown graph {spec!r} (use path or knn-grid:<r>)")
+            raise argparse.ArgumentTypeError(f"bad graph radius in {spec!r}") from None
+    raise argparse.ArgumentTypeError(f"unknown graph {spec!r} (use path or knn-grid:<r>)")
 
 
 def _given(**params) -> dict:
@@ -411,8 +411,6 @@ def _run(args) -> int:
         fileio.write_report(os.path.join(args.out_dir, "report.json"), info)
         _emit(info)
         return 0
-
-    raise UsageError(f"unhandled command {args.command!r}")
 
 
 def main(argv=None) -> int:

@@ -89,7 +89,7 @@ def _connected(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
 
 
 def path_graph(n: int) -> GraphSpec:
-    return GraphSpec(n=n, edges=np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+    return grid_graph(1, n)
 
 
 def grid_graph(d: int, m: int, radius: int = 1) -> GraphSpec:

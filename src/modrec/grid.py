@@ -40,10 +40,6 @@ class UniformGrid:
     def shape(self) -> tuple:
         return (self.m,) * self.d
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.m - 1)
-
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.m, dtype=float) / (self.m - 1)
 
@@ -88,12 +84,7 @@ class GridField:
             raise ValueError("field values must be real")
         v = v.astype(float)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.n:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"value count {v.size} does not match grid size {self.grid.n}"
-                )
+            raise ValueError(f"value shape {v.shape} does not match grid shape {self.grid.shape}")
         if self.kind == "mod1":
             if not np.all(np.isfinite(v)):
                 raise ValueError("mod1 field must be finite")

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import baselines
-from .circle import circle_arg, mod1, wrap_distance
-from .graphs import grid_graph, path_graph
+from .circle import circle_arg, circle_embed, mod1, wrap_distance
+from .graphs import grid_graph
 from .grid import GridField, UniformGrid, floor_root, mesh_points
 from .knn import DenoiseResult, choose_k_practical, denoise
 from .unwrap import ItohReport, UnwrapResult, itoh_check, unwrap_multid
@@ -266,11 +266,14 @@ class McConfig:
     base_seed: int = 0
     C: float = 0.09
     kappa: float = 0.04
-    graph_radius: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("n_sweep", "methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be non-empty and without repeats, got {values!r}")
         for method in self.methods:
             if method not in ("knn", "ucqp", "trs"):
                 raise ValueError(f"unknown method {method!r}")
@@ -300,8 +303,8 @@ def _method_ghat(method: str, data: SyntheticData, config: McConfig) -> GridFiel
         k = choose_k_practical(grid.n, d=grid.d, C=config.C)
         return denoise(data.noisy_mod, k).ghat
     lam = baselines.lambda_schedule(config.kappa, grid.n)
-    graph = path_graph(grid.n) if grid.d == 1 else grid_graph(grid.d, grid.m, config.graph_radius)
-    z = np.exp(2j * np.pi * data.noisy_mod.flat)
+    graph = grid_graph(grid.d, grid.m)  # the path graph at d = 1
+    z = circle_embed(data.noisy_mod.flat)
     if method == "ucqp":
         result = baselines.solve_ucqp(z, graph, lam)
     else:
@@ -418,7 +421,8 @@ def rate_fit(ns, errors):
     like (log(n)/n)^r has slope exactly r there.  The companion slope against
     log(n) is also reported (negative for decaying errors).  Non-finite
     sample sizes or errors (the NaN means of an mc cell whose trials all
-    failed) raise ValueError.
+    failed) raise ValueError, as do sample sizes that leave the primary
+    regressor constant.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -432,6 +436,8 @@ def rate_fit(ns, errors):
     y = np.log(errors)
     x1 = np.log(np.log(ns) / ns)
     x2 = np.log(ns)
+    if np.unique(x1).size < 2:  # n = 2 and n = 4 share log(log(n)/n)
+        raise ValueError(f"need 2 sample sizes with distinct log(log(n)/n), got {ns.tolist()}")
 
     def slope(x):
         A = np.stack([x, np.ones_like(x)], axis=1)

@@ -1,44 +1,27 @@
 """Multilinear interpolation of grid samples over [0,1]^d.
 
-The fitted model evaluates as the tensor-product piecewise-linear interpolant
-of its samples.  It is linear in the samples, reproduces constants exactly,
-never exceeds the sample range (weights are a convex combination), and for an
-M-Lipschitz function sampled exactly its sup error is at most M/(m-1), i.e.
-one grid spacing times the Lipschitz constant.
+The fitted model is the field itself, which evaluates as the tensor-product
+piecewise-linear interpolant of its samples.  It is linear in the samples,
+reproduces constants exactly, never exceeds the sample range (weights are a
+convex combination), and for an M-Lipschitz function sampled exactly its sup
+error is at most M/(m-1), i.e. one grid spacing times the Lipschitz constant.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, UniformGrid
+from .grid import GridField
 
 
-@dataclass(frozen=True)
-class InterpolantModel:
-    grid: UniformGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.samples, dtype=float, copy=True)
-        if s.shape != self.grid.shape:
-            raise ValueError("sample shape does not match grid")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def __call__(self, x):
-        return evaluate(self, x)
+def fit(ftilde: GridField) -> GridField:
+    """The interpolant of a field is the field itself: its grid and its frozen samples."""
+    return ftilde
 
 
-def fit(ftilde: GridField) -> InterpolantModel:
-    """Store grid samples for multilinear evaluation; linear in the input field."""
-    return InterpolantModel(grid=ftilde.grid, samples=ftilde.values)
-
-
-def evaluate(model: InterpolantModel, x):
+def evaluate(model: GridField, x):
     """Evaluate the interpolant at one point (d,) or a batch (..., d) in [0,1]^d."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -60,6 +43,6 @@ def evaluate(model: InterpolantModel, x):
         weight = np.ones(flat_base.shape[0])
         for a in range(model.grid.d):
             weight *= flat_w[:, a] if corner[a] else 1.0 - flat_w[:, a]
-        out += weight * model.samples[idx]
+        out += weight * model.values[idx]
     out = out.reshape(pts.shape[:-1])
     return float(out[0]) if single else out

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, circle_arg
-from .grid import GridField, UniformGrid, _knn_axis_ranges, floor_root
+from .circle import TWO_PI, circle_arg, circle_embed
+from .grid import GridField, _knn_axis_ranges, floor_root
 from .unwrap import itoh_check
 
 
@@ -146,14 +146,13 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     grid = y.grid
     if not 1 <= k <= grid.n:
         raise ValueError(f"k must lie in [1, {grid.n}]")
-    z = np.exp(1j * TWO_PI * y.values)
+    z = circle_embed(y.values)
     prefix = _padded_prefix_sums(z)
     sums, counts, radii = _box_sums(prefix, grid.shape, k)
 
     mags = np.abs(sums)
     zero_mask = mags <= _CANCEL_TOL * counts
     ghat = np.asarray(circle_arg(np.where(zero_mask, 1.0 + 0.0j, sums)))
-    ghat = np.where(zero_mask, 0.0, ghat)
     # Radius-zero neighborhoods are the sample itself: skip the embed/arg
     # round trip so the output is bitwise equal to the input there.
     ghat = np.where(radii == 0, y.flat, ghat)
@@ -175,7 +174,7 @@ def circle_estimate(y: GridField, k: int, x) -> complex:
         raise ValueError("circle_estimate expects a mod1 field")
     ranges, _ = _knn_axis_ranges(y.grid, x, k)
     block = y.values[tuple(slice(lo, hi + 1) for lo, hi in ranges)]
-    s = np.exp(1j * TWO_PI * block).sum()
+    s = circle_embed(block).sum()
     mag = abs(s)
     return complex(s / mag) if mag > _CANCEL_TOL * block.size else 1.0 + 0.0j
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from modrec.baselines import solve_trs, solve_ucqp
+from modrec import baselines
+from modrec.baselines import HardCaseError, solve_trs, solve_ucqp
 from modrec.certificate import tightness_verdict
 from modrec.circle import circle_arg, circle_embed
 from modrec.cli import main
@@ -11,7 +12,7 @@ from modrec.fileio import read_elevation, read_field, read_report, report_to_jso
 from modrec.graphs import path_graph
 from modrec.grid import GridField, UniformGrid
 from modrec.harness import McConfig, SyntheticSpec, elevation_demo, generate, monte_carlo, run_pipeline
-from modrec.knn import choose_k_practical
+from modrec.knn import choose_k_expected_risk, choose_k_practical, choose_k_sup_norm, denoise
 from modrec.qcqp import QcqpProblem, solve_qcqp
 
 
@@ -55,6 +56,31 @@ def test_gen_denoise_unwrap_recover_round_trip(tmp_path, capsys):
     assert np.array_equal(read_field(ft).values, pipe.ftilde.values)
 
 
+@pytest.mark.parametrize(
+    "flags, k",
+    [
+        (("--k", "7"), 7),
+        (("--k-rule", "expected", "--sigma", "0.1", "--M", "2"), choose_k_expected_risk(1, 0.1, 2.0, 300)),
+        (("--k-rule", "supnorm"), choose_k_sup_norm(1, 0.12, 1.0, 300).k),
+    ],
+)
+def test_denoise_and_recover_ghat_match_the_library(tmp_path, capsys, flags, k):
+    data = generate(SyntheticSpec(function="example1", d=1, m=300, sigma=0.12, seed=7))
+    y, ghat, ft, ghat_out = (tmp_path / f"{name}.gf" for name in ("y", "ghat", "ft", "ghat_out"))
+    write_field(y, data.noisy_mod)
+    code, out, _ = run(capsys, "denoise", "--in", str(y), *flags, "--out", str(ghat))
+    den = denoise(data.noisy_mod, k)
+    assert code == 0 and out == _json({"k": k, "zero_resultants": den.zero_resultants})
+    assert ghat.read_bytes() == _field_bytes(tmp_path / "lib.gf", den.ghat)
+    code, out, _ = run(
+        capsys, "recover", "--in", str(y), *flags, "--out", str(ft), "--ghat-out", str(ghat_out)
+    )
+    pipe = run_pipeline(data.noisy_mod, k)
+    assert code == 0 and out == _json({"k": k, "itoh_margin": pipe.unwrap.itoh_margin})
+    assert ghat_out.read_bytes() == ghat.read_bytes()
+    assert ft.read_bytes() == _field_bytes(tmp_path / "lib.gf", pipe.ftilde)
+
+
 def test_gen_seed_determines_output_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.gf", tmp_path / "b.gf"
     for path in (a, b):
@@ -81,13 +107,17 @@ def test_usage_errors_exit_1(capsys):
     [
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "x"),
         ("--lambda", "-1"), ("--lambda", "nan"), ("--lambda", "inf"),
-        ("--graph", "ring"), ("--graph", "knn-grid:x"),
+        ("--graph", "ring"), ("--graph", "knn-grid:x"), ("--graph", "knn-grid:0"),
+        ("--graph", "knn-grid:-1"),
     ],
 )
 def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command, flags):
     # The input file does not exist: a data error (exit 2) would mean it was read first.
     code, out, err = run(capsys, command, "--in", str(tmp_path / "absent.gf"), *flags)
     assert code == 1 and err.startswith("usage error") and not out
+    # Without --in, the flag value is still the error reported.
+    code, out, err = run(capsys, command, *flags)
+    assert code == 1 and err.startswith(f"usage error: argument {flags[0]}: ") and not out
 
 
 @pytest.mark.parametrize(
@@ -99,6 +129,8 @@ def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command,
         ("--sigma=-1", "--n-sweep", "16"), ("--sigma", "nan", "--n-sweep", "16"),
         ("--C=-1", "--n-sweep", "16"), ("--C", "nan", "--n-sweep", "16"),
         ("--kappa=-1", "--methods", "ucqp", "--n-sweep", "16"),
+        ("--n-sweep", ""), ("--n-sweep", "16,16"),
+        ("--methods", "", "--n-sweep", "16"), ("--methods", "knn,knn", "--n-sweep", "16"),
     ],
 )
 def test_mc_config_rejections_exit_1(capsys, flags):
@@ -232,6 +264,29 @@ def test_omitted_flags_take_the_library_defaults(tmp_path, capsys):
         assert (out_dir / f"{name}.gf").read_bytes() == expect, name
 
 
+def test_failed_trials_are_counted_and_their_nan_means_are_a_data_error(tmp_path, capsys, monkeypatch):
+    def hard_case(*args, **kwargs):
+        raise HardCaseError("every trial is a hard case")
+
+    monkeypatch.setattr(baselines, "solve_trs", hard_case)
+    summary = monte_carlo(McConfig(n_sweep=(16, 25, 36), trials=2, methods=("knn", "trs")))
+    for n in (16, 25, 36):
+        knn, trs = summary.cell(n, "knn"), summary.cell(n, "trs")
+        assert (knn.trials, knn.failures, trs.trials, trs.failures) == (2, 0, 0, 2)
+        assert not np.isnan(list(knn.means.values())).any()
+        assert np.isnan([*trs.means.values(), *trs.stds.values()]).all()
+    report = tmp_path / "mc.json"
+    code, _, _ = run(
+        capsys, "mc", "--n-sweep", "16,25,36", "--trials", "2", "--methods", "knn,trs",
+        "--out", str(report),
+    )
+    assert code == 0 and report.read_text() == report_to_json(summary.to_report())
+    code, out, err = run(capsys, "rate", "--report", str(report), "--method", "trs")
+    assert code == 2 and not out and err.startswith("data error: errors must be finite")
+    code, _, _ = run(capsys, "rate", "--report", str(report), "--method", "knn")
+    assert code == 0
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "denoise", "--in", str(tmp_path / "absent.gf"), "--k", "3",
@@ -356,6 +411,8 @@ _REPORTS = {
         (("mc", "--d=-1"), 1, "usage error: d must be >= 1"),
         (("rate", "--ns", "10,100,1000", "--errors", "nan,1,2"), 2,
          "data error: errors must be finite"),
+        (("rate", "--ns", "10,10,10", "--errors", "1,2,3"), 2,
+         "data error: need 2 sample sizes with distinct log(log(n)/n)"),
     ],
 )
 def test_bad_inputs_exit_with_a_message_not_a_traceback(tmp_path, capsys, argv, code, prefix):

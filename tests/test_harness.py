@@ -23,6 +23,7 @@ from modrec.harness import (
     run_pipeline,
     run_trial,
 )
+from modrec.unwrap import ItohReport
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +189,9 @@ def test_monte_carlo_deterministic_reports():
     assert r1 == r2
 
 
-def test_monte_carlo_report_records_graph_radius():
-    planted = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
-    reports = [
-        monte_carlo(McConfig(function=planted, d=2, n_sweep=(16,), methods=("ucqp",), trials=1, graph_radius=r)).to_report()
-        for r in (1, 2)
-    ]
-    assert [rep["config"]["graph_radius"] for rep in reports] == [1, 2]
-    assert reports[0]["config"] != reports[1]["config"]
-
-
 def test_monte_carlo_report_config_lists_every_field():
     planted = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
-    config = McConfig(function=planted, d=2, n_sweep=(16, 64), methods=("ucqp", "trs"), graph_radius=2)
+    config = McConfig(function=planted, d=2, n_sweep=(16, 64), methods=("ucqp", "trs"))
     cfg = McSummary(config, ()).to_report()["config"]
     assert list(cfg) == [f.name for f in dataclasses.fields(McConfig)]
     assert cfg["function"] == str(planted)
@@ -224,7 +215,6 @@ def test_monte_carlo_report_config_matches_the_listed_keys():
         "base_seed": config.base_seed,
         "C": config.C,
         "kappa": config.kappa,
-        "graph_radius": config.graph_radius,
     }
     cfg = McSummary(config, ()).to_report()["config"]
     assert cfg == listed and list(cfg) == list(listed)
@@ -275,6 +265,21 @@ def test_mc_config_rejects_function_of_another_dimension(function, message):
 def test_mc_config_rejects_values_its_trials_would_reject(settings, message):
     with pytest.raises(ValueError, match=message):
         McConfig(n_sweep=(16,), **settings)
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [
+        ({"n_sweep": ()}, "n_sweep"),
+        ({"n_sweep": (16, 25, 16)}, "n_sweep"),
+        ({"n_sweep": (16,), "methods": ()}, "methods"),
+        ({"n_sweep": (16,), "methods": ("knn", "trs", "knn")}, "methods"),
+    ],
+)
+def test_mc_config_rejects_empty_or_repeated_sweeps(settings, name):
+    # A repeated method would count every one of its trials twice.
+    with pytest.raises(ValueError, match=f"{name} must be non-empty and without repeats"):
+        McConfig(**settings)
 
 
 def test_mc_config_checks_only_the_parameters_its_methods_use():
@@ -339,6 +344,10 @@ def test_rate_fit_exact_synthetic():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="sample sizes must be finite"):
             rate_fit([10, bad, 1000], [0.3, 0.1, 0.03])
+    # One size, or sizes whose log(log(n)/n) coincide, leave the slope undetermined.
+    for ns in ([10, 10, 10], [2, 4, 4]):
+        with pytest.raises(ValueError, match="distinct"):
+            rate_fit(ns, [0.3, 0.1, 0.03])
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +380,13 @@ def test_elevation_unscaled_fails_itoh_and_reports():
     assert not demo.itoh.satisfied
     assert demo.itoh.margin < 0.0
     assert demo.lipschitz_estimate > 0.5 * (30 - 1)
+
+
+def test_elevation_flat_terrain_passes_the_resolution_check():
+    demo = elevation_demo(np.full((12, 12), 250.0), scale=500.0, sigma=0.05, k=9, seed=1)
+    assert demo.lipschitz_estimate == 0.0
+    assert demo.itoh == ItohReport(satisfied=True, margin=0.5)
+    assert demo.metrics_denoised.aligned_mse < demo.metrics_raw.aligned_mse
 
 
 def test_elevation_requires_square():

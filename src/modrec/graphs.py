@@ -3,8 +3,13 @@
 Vertices are 0-based.  Edges are stored once, as a read-only (E, 2) int64
 array of rows (i, j), i < j, in lexicographic order: every edge-wise sum
 accumulates in that order, whatever order the edges were given in.
-The Laplacian is the combinatorial one, L = diag(W 1) - W, applied edge-wise
-so that large sparse graphs never require a dense matrix.  Dense W and L are
+The Laplacian is the combinatorial one, L = diag(W 1) - W, applied from the
+edge list so that large sparse graphs never require a dense matrix.  The
+apply sums each vertex's neighbours in one fixed order: +0, then the
+neighbours j > i ascending, then the neighbours j < i ascending.  Paths take
+a two-slice stencil and every other graph one scatter over both edge
+directions; both perform exactly these additions in this order, so their
+floats are bit-identical to a sum edge by edge.  Dense W and L are
 available for small n: the dense lift of the certificate and the tests use
 them, while the tightness verdict builds its matrix from the edge list.
 """
@@ -53,6 +58,20 @@ class GraphSpec:
     @cached_property
     def _edge_arrays(self):
         return self.edges[:, 0], self.edges[:, 1]  # contiguous: edges is Fortran-ordered
+
+    @cached_property
+    def _is_path(self) -> bool:
+        # The graph is connected, so if every edge joins i and i + 1, every
+        # such edge is present and the edges are exactly (i, i + 1), i < n - 1.
+        ei, ej = self._edge_arrays
+        return bool(np.all(ej - ei == 1))
+
+    @cached_property
+    def _scatter(self):
+        """(targets, sources) of the one scatter in adjacency_apply: each edge
+        (i, j) as i <- j, then each as j <- i, in edge order."""
+        ei, ej = self._edge_arrays
+        return np.concatenate([ei, ej]), np.concatenate([ej, ei])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -111,18 +130,30 @@ def grid_graph(d: int, m: int, radius: int = 1) -> GraphSpec:
 
 
 def adjacency_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
+    """(W g)_i = +0, plus g_j over the neighbours j > i ascending, plus g_j
+    over the neighbours j < i ascending, added in that order.
+
+    The lexicographic edge order makes the scatter add each vertex's terms
+    in that order (np.add.at adds its indices in sequence), and on a path the
+    two slice additions give 0 + g[i+1] + g[i-1]; either way the result is
+    bit-identical to one pass per edge direction.
+    """
     v = np.asarray(g)
     if v.shape != (graph.n,):
         raise ValueError(f"vector length {v.shape} does not match n = {graph.n}")
-    ei, ej = graph._edge_arrays
     out = np.zeros(graph.n, dtype=v.dtype)
-    np.add.at(out, ei, v[ej])
-    np.add.at(out, ej, v[ei])
+    if graph._is_path:
+        out[:-1] += v[1:]
+        out[1:] += v[:-1]
+    else:
+        targets, sources = graph._scatter
+        np.add.at(out, targets, v[sources])
     return out
 
 
 def laplacian_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
-    """(L g)_i = sum over neighbors j of (g_i - g_j), computed edge-wise."""
+    """(L g)_i = deg_i g_i - (W g)_i, with W g summed in adjacency_apply's
+    per-vertex order, so the stencil and the scatter give the same floats."""
     v = np.asarray(g)
     w = adjacency_apply(graph, v)  # checks the length first
     return graph.degrees * v - w

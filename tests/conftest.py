@@ -75,6 +75,19 @@ def box_sums_brute(prefix: np.ndarray, shape: tuple, k: int):
     return total, counts(radii), radii
 
 
+def adjacency_apply_edgewise(graph, g):
+    """Edge-wise oracle for graphs.adjacency_apply: one np.add.at pass per
+    edge direction, in edge order."""
+    v = np.asarray(g)
+    if v.shape != (graph.n,):
+        raise ValueError(f"vector length {v.shape} does not match n = {graph.n}")
+    ei, ej = graph._edge_arrays
+    out = np.zeros(graph.n, dtype=v.dtype)
+    np.add.at(out, ei, v[ej])
+    np.add.at(out, ej, v[ei])
+    return out
+
+
 def graph_edges_brute(d: int, m: int, radius: int):
     """Pair-scan oracle for grid_graph: every rank pair a < b, in lexicographic
     order, whose multi-indices lie at Chebyshev distance <= radius."""

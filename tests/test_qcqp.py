@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_n3, graph_edges_brute
+from conftest import adjacency_apply_edgewise, brute_force_min_n3, graph_edges_brute
+from modrec import baselines, graphs, qcqp
+from modrec.circle import circle_embed
+from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.graphs import (
     GraphSpec,
+    adjacency_apply,
     edge_smoothness,
     grid_graph,
     laplacian_apply,
@@ -54,6 +58,117 @@ def test_laplacian_apply_examples():
     assert np.allclose(laplacian_apply(g2, np.array([1.0, -1.0])), [2.0, -2.0])
     with pytest.raises(ValueError):
         laplacian_apply(g, np.ones(4))
+
+
+def _shuffled_path(n, relabel):
+    rng = np.random.default_rng(53 + n)
+    labels = rng.permutation(n) if relabel else np.arange(n)
+    pairs = np.stack([labels[1:], labels[:-1]], axis=1)  # reversed pairs
+    return GraphSpec(n=n, edges=pairs[rng.permutation(n - 1)])
+
+
+APPLY_GRAPHS = {
+    **{f"path{n}": path_graph(n) for n in (1, 2, 3, 28, 4096)},
+    "grid2x5": grid_graph(2, 5),
+    "grid2x16": grid_graph(2, 16),
+    "grid3x4": grid_graph(3, 4),
+    "grid2x6r2": grid_graph(2, 6, radius=2),
+    "path_shuffled": _shuffled_path(40, relabel=False),
+    "path_relabelled": _shuffled_path(40, relabel=True),
+}
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300])
+
+
+def _with_specials(x, rng):
+    picks = rng.permutation(x.size)[: 2 * SPECIAL_VALUES.size]
+    x[picks] = np.resize(SPECIAL_VALUES, picks.size)
+    run = min(x.size, SPECIAL_VALUES.size)
+    x[:run] = SPECIAL_VALUES[:run]  # neighbours that are all special
+    return x
+
+
+def _apply_input(n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    v = _with_specials(rng.standard_normal(n), rng).astype(dtype)
+    if dtype == np.complex128:
+        v.imag = _with_specials(rng.standard_normal(n), rng)[::-1]
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("name", list(APPLY_GRAPHS))
+def test_apply_bitwise_equals_edgewise_oracle(name, dtype):
+    graph = APPLY_GRAPHS[name]
+    for seed in range(3):
+        v = _apply_input(graph.n, dtype, seed)
+        want = adjacency_apply_edgewise(graph, v)
+        got = adjacency_apply(graph, v)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        lap = laplacian_apply(graph, v)
+        assert np.array_equal(lap.view(np.int64), (graph.degrees * v - want).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_path_detects_paths(n):
+    assert path_graph(n)._is_path
+    if n > 1:
+        assert _shuffled_path(n, relabel=False)._is_path
+        assert GraphSpec(n=n, edges=[(i + 1, i) for i in reversed(range(n - 1))])._is_path
+
+
+def test_is_path_rejects_other_graphs():
+    relabelled = GraphSpec(n=4, edges=[(0, 2), (2, 1), (1, 3)])
+    cycle = GraphSpec(n=5, edges=[(i, (i + 1) % 5) for i in range(5)])
+    star = GraphSpec(n=5, edges=[(0, i) for i in range(1, 5)])
+    for g in (relabelled, cycle, star, grid_graph(1, 6, radius=2), grid_graph(2, 2)):
+        assert not g._is_path
+
+
+def test_path_apply_builds_no_scatter_table():
+    g = path_graph(28)
+    laplacian_apply(g, np.ones(28, dtype=complex))
+    assert "_scatter" not in g.__dict__
+    grid = grid_graph(2, 5)
+    laplacian_apply(grid, np.ones(25, dtype=complex))
+    assert "_scatter" in grid.__dict__
+
+
+def _solver_outputs(graph, z):
+    lam = baselines.lambda_schedule(0.04, graph.n)
+    trs = baselines.solve_trs(z, graph, lam)
+    ucqp = baselines.solve_ucqp(z, graph, lam)
+    report = qcqp.solve_qcqp(QcqpProblem(z, graph, 0.5))
+    return [
+        trs.raw.tobytes(), np.float64(trs.mu).tobytes(), trs.cg_iterations, trs.bisect_iterations,
+        ucqp.raw.tobytes(), ucqp.iterations,
+        report.ghat.tobytes(), report.iterations,
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, m, function",
+    [
+        pytest.param(1, 4096, "example1", id="path4096"),
+        pytest.param(2, 16, PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), id="grid16x16"),
+        pytest.param(1, 28, "example1", id="path28"),
+    ],
+)
+def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
+    data = generate(SyntheticSpec(function=function, d=d, m=m, sigma=0.1, seed=61))
+    z = circle_embed(data.noisy_mod.flat)
+    graph = grid_graph(d, m)
+    fast = _solver_outputs(graph, z)
+    calls = []
+
+    def oracle(graph_, g):
+        calls.append(graph_.n)
+        return adjacency_apply_edgewise(graph_, g)
+
+    monkeypatch.setattr(graphs, "adjacency_apply", oracle)
+    monkeypatch.setattr(qcqp, "adjacency_apply", oracle)
+    assert _solver_outputs(grid_graph(d, m), z) == fast
+    assert len(calls) > 100  # the solvers ran the oracle
 
 
 def test_laplacian_quadratic_identity():

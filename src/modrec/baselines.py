@@ -13,8 +13,14 @@ The graph is connected, so the null space of L is span(1): the constant mode
 mean(z)/mu of the solution is exact, and the root is bracketed in closed
 form by [|mean(z)|, ||z||/sqrt(n)].
 
-Inner systems are Hermitian positive definite and solved by plain conjugate
-gradients (the graphs here are sparse paths and neighborhoods).  Both methods
+Both systems are Hermitian positive definite.  On a path they are diagonal
+in the Laplacian's eigenbasis, the orthonormal DCT-II
+(graphs.PathEigenbasis): the unconstrained solve is one division between
+two transforms, and each secular evaluation is a sum over the transformed
+z, with no linear solve.  On every other graph they are solved by plain
+conjugate gradients (the graphs here are sparse neighborhoods).  Both
+solvers compute their reported residual from the edge list
+(graphs.laplacian_apply), whichever way they solved.  Both methods
 return the solution projected entrywise onto the circle, alongside the raw
 minimizer.  A sphere problem whose secular function has no positive root
 (mean(z) = 0 to rounding and ||(lam*L)^+ z||^2 <= n) raises HardCaseError
@@ -78,12 +84,15 @@ class UcqpResult:
     signal: np.ndarray
     raw: np.ndarray
     residual_inf: float
-    iterations: int
+    iterations: int  # CG iterations; 0 on a path
 
 
 def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-12) -> UcqpResult:
     """Solve (I + lam*L) g = z and project the minimizer onto the circle.
 
+    On a path g is transformed back from z_k / (1 + lam Lambda_k) in the
+    eigenbasis, directly: iterations is 0 and cg_tol is not used.  Other
+    graphs run conjugate gradients to the relative residual cg_tol.
     lam = 0 is the identity system: z itself is returned, exactly.
     """
     z = QcqpProblem(z, graph, lam).z
@@ -93,7 +102,11 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-1
     def apply_A(v):
         return v + lam * laplacian_apply(graph, v)
 
-    raw, iters = conjugate_gradient(apply_A, z, cg_tol)
+    basis = graph._path_eigenbasis
+    if basis is None:
+        raw, iters = conjugate_gradient(apply_A, z, cg_tol)
+    else:
+        raw, iters = basis.inverse(basis.forward(z) / (1.0 + lam * basis.eigenvalues)), 0
     residual = float(np.max(np.abs(apply_A(raw) - z)))
     return UcqpResult(
         signal=np.asarray(project_to_circle(raw)),
@@ -111,7 +124,7 @@ class TrsResult:
     norm_sq: float
     stationarity_inf: float
     bisect_iterations: int  # secular evaluations (root-search steps) after the first
-    cg_iterations: int  # CG iterations of every inner solve, hard-case check included
+    cg_iterations: int  # CG iterations of every inner solve, hard-case check included; 0 on a path
 
 
 def solve_trs(
@@ -124,18 +137,24 @@ def solve_trs(
 
     Finds mu > 0 with ||g||^2 = n for g = (lam*L + mu*I)^{-1} z.  L has null
     space span(1) (the graph is connected), so the constant part c = mean(z)
-    of z maps exactly to c/mu, and CG solves only for z - c, re-centred to
-    mean 0 so that rounding drift along 1 cannot build up.  The root lies in
+    of z maps exactly to c/mu, and only z - c is solved for, with its
+    constant part held at 0: on a path its constant DCT coefficient is set
+    to exactly 0, and elsewhere each CG solution is re-centred to mean 0, so
+    that rounding drift along 1 cannot build up.  The root lies in
     [|c|, ||z||/sqrt(n)]: at |c| the constant part alone has norm^2 n, and
     ||g|| <= ||z||/mu.  |c| <= n*eps (the rounding of a sum of n unit
     entries) counts as c = 0; then psi(0+) comes from g = (lam*L)^+ (z - c),
     and HardCaseError is raised when ||g||^2 <= n there.
 
     The search starts at the upper end and stops once the norm defect is
-    within bisect_tol * n.  Each secular evaluation is one CG solve, warm
-    started from the previous one, and replaces the end of the bracket on
-    its side of the root.  The next mu is the regula falsi point: the zero
-    of the secant of psi between the two ends.  Illinois rule: when an
+    within bisect_tol * n.  On a path, w = z - c is transformed once, each
+    secular evaluation is ||g||^2 = sum_k |w_k|^2 / (lam Lambda_k + mu)^2
+    + n |c|^2 / mu^2 over the coefficients, and g takes one inverse
+    transform at the end, so cg_iterations is 0.  On other graphs each
+    secular evaluation is one CG solve, warm started from the previous one.
+    Each evaluation replaces the end of the bracket on its side of the
+    root.  The next mu is the regula falsi point: the zero of the secant of
+    psi between the two ends.  Illinois rule: when an
     evaluation moves the same end as the one before it, the psi kept for
     the other end is halved, so that end moves too.  The next mu is the
     midpoint instead while psi is known at one end only, or when the
@@ -164,17 +183,50 @@ def solve_trs(
     w = z - c
     if abs(c) <= n * np.finfo(float).eps:
         c = 0.0
+    basis = graph._path_eigenbasis
     cg_iters = 0
+    if basis is not None:
+        # Diagonal in the path's eigenbasis: x_k = w_k / (lam Lambda_k + mu).
+        w_hat = basis.forward(w)
+        w_hat[0] = 0.0
+        stiffness = lam * basis.eigenvalues
+        power = np.abs(w_hat) ** 2
+        constant_sq = n * abs(c) ** 2
 
-    def centred_solve(mu, x0=None):
-        nonlocal cg_iters
+        def centred_norm_sq(mu):
+            return float(np.sum(power[1:] / (stiffness[1:] + mu) ** 2))  # w_0 = 0
 
-        def apply_A(v):
-            return lam * laplacian_apply(graph, v) + mu * v
+        def norm_sq_at(mu):
+            return centred_norm_sq(mu) + constant_sq / mu**2
 
-        x, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, x0=x0)
-        cg_iters += iters
-        return x - np.mean(x)
+        def solution(mu):
+            return basis.inverse(w_hat / (stiffness + mu)) + c / mu
+
+    else:
+        x = g = None  # the last solve, which warm-starts the next
+
+        def centred_solve(mu, x0=None):
+            nonlocal cg_iters
+
+            def apply_A(v):
+                return lam * laplacian_apply(graph, v) + mu * v
+
+            x, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, x0=x0)
+            cg_iters += iters
+            return x - np.mean(x)
+
+        def centred_norm_sq(mu):
+            y = centred_solve(mu)  # not warm-started: only the hard-case check calls it
+            return float(np.real(np.vdot(y, y)))
+
+        def norm_sq_at(mu):
+            nonlocal x, g
+            x = centred_solve(mu, x0=x)
+            g = x + c / mu
+            return float(np.real(np.vdot(g, g)))
+
+        def solution(mu):
+            return g  # of the last evaluation, which is at mu
 
     def psi(norm_sq):
         # sqrt(n) * (1/||g|| - 1/sqrt(n)), written without cancellation so
@@ -184,17 +236,14 @@ def solve_trs(
     lo, hi = abs(c), float(np.linalg.norm(z) / np.sqrt(n))
     psi_lo = psi_hi = None  # psi at the ends of the bracket, once evaluated there
     if c == 0.0:
-        x = centred_solve(0.0)
-        norm_sq = float(np.real(np.vdot(x, x)))
+        norm_sq = centred_norm_sq(0.0)
         if norm_sq <= n:
             raise HardCaseError("no positive multiplier: mean(z) = 0 and ||(lam L)^+ z||^2 <= n")
         psi_lo = psi(norm_sq)
 
-    mu, x, iters, side = hi, None, 0, 0
+    mu, iters, side = hi, 0, 0
     while True:
-        x = centred_solve(mu, x0=x)
-        g = x + c / mu
-        norm_sq = float(np.real(np.vdot(g, g)))
+        norm_sq = norm_sq_at(mu)
         if abs(norm_sq - n) <= bisect_tol * n:
             break
         # Illinois rule (see the docstring); side is the end moved last.
@@ -217,6 +266,7 @@ def solve_trs(
             raise NumericError(f"secular root search stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
         iters += 1
 
+    g = solution(mu)
     stationarity = float(np.max(np.abs(lam * laplacian_apply(graph, g) + mu * g - z)))
     return TrsResult(
         signal=np.asarray(project_to_circle(g)),

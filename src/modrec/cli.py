@@ -6,7 +6,9 @@ has no default of its own: an omitted flag is not passed, so the library
 default applies.  --tol is the stopping tolerance of the solver the command
 runs: the Riemannian gradient sup norm for qcqp and certify, the relative
 conjugate-gradient residual for ucqp, and the relative norm defect
-|(||g||^2 - n)/n| of the secular root search for trs.
+|(||g||^2 - n)/n| of the secular root search for trs, on every graph.  On a
+path the ucqp solve is direct, in the path's eigenbasis, and uses no
+tolerance; trs reports cg_iterations 0 there.
 
 Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure

@@ -9,7 +9,9 @@ apply sums each vertex's neighbours in one fixed order: +0, then the
 neighbours j > i ascending, then the neighbours j < i ascending.  Paths take
 a two-slice stencil and every other graph one scatter over both edge
 directions; both perform exactly these additions in this order, so their
-floats are bit-identical to a sum edge by edge.  Dense W and L are
+floats are bit-identical to a sum edge by edge.  A path also carries the
+eigenbasis of its Laplacian (PathEigenbasis), in which the relaxations of
+baselines solve directly.  Dense W and L are
 available for small n: the dense lift of the certificate and the tests use
 them, while the tightness verdict builds its matrix from the edge list.
 """
@@ -67,6 +69,11 @@ class GraphSpec:
         return bool(np.all(ej - ei == 1))
 
     @cached_property
+    def _path_eigenbasis(self) -> PathEigenbasis | None:
+        """The DCT eigenbasis of the Laplacian if the graph is a path, else None."""
+        return PathEigenbasis(self.n) if self._is_path else None
+
+    @cached_property
     def _scatter(self):
         """(targets, sources) of the one scatter in adjacency_apply: each edge
         (i, j) as i <- j, then each as j <- i, in edge order."""
@@ -90,6 +97,41 @@ class GraphSpec:
     def laplacian(self) -> np.ndarray:
         W = self.adjacency()
         return np.diag(W.sum(axis=1)) - W
+
+
+class PathEigenbasis:
+    """Eigenbasis of the Laplacian of the n-point path: the orthonormal DCT-II.
+
+    The path Laplacian has the eigenvectors v_k(j) = s_k cos(pi k (2j + 1) / 2n),
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n) for k > 0, with the eigenvalues
+    4 sin^2(pi k / 2n), ascending from exactly 0 (Strang, "The discrete cosine
+    transform", SIAM Review 1999).  forward(v) gives the coefficients V^T v
+    and inverse(c) the vector V c, each from one length-2n FFT of complex
+    data: the FFT of v followed by its mirror image is
+    2 exp(i pi k / 2n) (V^T v)_k / s_k, and the inverse FFT of the
+    coefficients, twiddled and mirrored the same way, is V c.  numpy.fft is
+    reached at call time, so no module loads it until a path is solved.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        k = np.arange(n)
+        self.eigenvalues = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+        self.eigenvalues.setflags(write=False)
+        half = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n)) / 2.0
+        self._forward_twiddle = half * np.exp(-1j * np.pi * k / (2 * n))
+        # Inverse-FFT input m in [0, 2n) is c[_mirror[m]] times its weight:
+        # s_0 at m = 0 (both halves of the cosine), s_k exp(+-i pi k / 2n) / 2
+        # at m = k and m = 2n - k, and 0 at m = n.
+        self._mirror = np.concatenate([k, [0], k[:0:-1]])
+        up = np.conj(self._forward_twiddle)
+        self._inverse_twiddle = np.concatenate([2.0 * up[:1], up[1:], [0.0], self._forward_twiddle[:0:-1]])
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        return self._forward_twiddle * np.fft.fft(np.concatenate([v, v[::-1]]))[: self.n]
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(self._inverse_twiddle * c[self._mirror], norm="forward")[: self.n]
 
 
 def _connected(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:

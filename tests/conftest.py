@@ -9,6 +9,7 @@ import pytest
 
 from modrec.certificate import dual_certificate, lift_matrix
 from modrec.fileio import FormatError, read_header
+from modrec.graphs import GraphSpec
 from modrec.grid import GridField, UniformGrid, iter_lex
 from modrec.harness import PlantedFunction
 from modrec.linalg import hermitian_eig
@@ -86,6 +87,19 @@ def adjacency_apply_edgewise(graph, g):
     np.add.at(out, ei, v[ej])
     np.add.at(out, ej, v[ei])
     return out
+
+
+def relabelled_path(z, seed: int):
+    """The path on len(z) nodes with its vertices relabelled by a random
+    permutation perm, z carried along, and perm: the same problem as z on
+    path_graph, with solution moved[perm].  The graph is not
+    GraphSpec._is_path, so the relaxations run conjugate gradients on it."""
+    perm = np.random.default_rng(seed).permutation(z.size)
+    graph = GraphSpec(n=z.size, edges=np.stack([perm[:-1], perm[1:]], axis=1))
+    assert not graph._is_path
+    moved = np.empty_like(z)
+    moved[perm] = z
+    return graph, moved, perm
 
 
 def graph_edges_brute(d: int, m: int, radius: int):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import trs_dense
+from conftest import relabelled_path, trs_dense
 from modrec import baselines
 from modrec.baselines import HardCaseError, lambda_schedule, solve_trs, solve_ucqp
+from modrec.circle import circle_embed
 from modrec.graphs import grid_graph, path_graph, quadratic_form
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import QcqpProblem, objective, solve_qcqp
@@ -40,7 +41,7 @@ def test_ucqp_against_direct_solve():
 
 def test_ucqp_residual_invariant_random():
     rng = np.random.default_rng(82)
-    for n, lam in ((10, 0.5), (50, 3.0), (200, 12.6)):
+    for n, lam in ((10, 0.5), (50, 3.0), (200, 12.6), (1, 0.7), (2, 1.3)):
         z = _random_torus(rng, n)
         r = solve_ucqp(z, path_graph(n), lam)
         assert r.residual_inf <= 1e-10 * np.max(np.abs(z))
@@ -120,9 +121,10 @@ def _alternating(shape):
 
 # Secular evaluations and CG iterations that bisection on the secular
 # equation took on each near-hard input: the root search may not take more.
+# Paths solve in their eigenbasis, with no CG at all.
 NEAR_HARD_CEILINGS = {
-    ((64,), 50.0): (60, 1671),
-    ((256,), 100.0): (60, 6699),
+    ((64,), 50.0): (60, 0),
+    ((256,), 100.0): (60, 0),
     ((8, 8), 50.0): (59, 294),
     ((16, 16), 20.0): (60, 642),
 }
@@ -162,10 +164,14 @@ def test_trs_zero_constant_component():
 
 
 def test_trs_matches_dense_oracle_sweep():
-    # Paths of 3-100 nodes and 3x3-10x10 grids alternately, lam in [0.05, 20].
+    # Paths of 3-100 nodes and 3x3-10x10 grids alternately, then the 1- and
+    # 2-node paths, lam in [0.05, 20].
     rng = np.random.default_rng(88)
-    for k in range(60):
-        graph = path_graph(int(rng.integers(3, 101))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 11)))
+    for k in range(62):
+        if k >= 60:
+            graph = path_graph(k - 59)
+        else:
+            graph = path_graph(int(rng.integers(3, 101))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 11)))
         lam = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         z = _random_torus(rng, graph.n)
         r = solve_trs(z, graph, lam)
@@ -202,15 +208,43 @@ def test_trs_counts_every_cg_iteration(monkeypatch):
 
     monkeypatch.setattr(baselines, "conjugate_gradient", counting)
     rng = np.random.default_rng(89)
-    graph = path_graph(30)
-    r = solve_trs(_random_torus(rng, 30), graph, 2.0)
+    graph, z, _ = relabelled_path(_random_torus(rng, 30), 89)
+    r = solve_trs(z, graph, 2.0)
     assert r.cg_iterations == sum(counted) > 0
     assert r.bisect_iterations == len(counted) - 1  # secular evaluations after the first
     counted.clear()
-    graph, z = _alternating((30,))
+    graph, z, _ = relabelled_path(_alternating((30,))[1], 90)
     r = solve_trs(z, graph, 0.01)  # mean 0: one singular solve first
     assert r.cg_iterations == sum(counted) and r.bisect_iterations == len(counted) - 2
     assert solve_trs(z, graph, 0.0).cg_iterations == 0
+
+
+def test_path_solves_are_exact_to_rounding():
+    # The sweep's 4096-point path.  Conjugate gradients stopped at a relative
+    # residual of 1e-12 left both residuals near 2.6e-12; in the eigenbasis
+    # they are rounding alone.  A residual A g - z carries about eps times
+    # ||A|| max|g| per entry, with ||A|| <= 4 lam + shift (shift 1 for UCQP,
+    # mu for TRS); the 1 in the bound covers z, whose entries have modulus 1.
+    n = 4096
+    data = generate(SyntheticSpec(function="example1", d=1, m=n, sigma=0.12, seed=0))
+    z = circle_embed(data.noisy_mod.flat)
+    lam = lambda_schedule(0.04, n)
+    graph = path_graph(n)
+
+    def bound(shift, g):
+        return 16.0 * np.finfo(float).eps * (1.0 + 4.0 * lam + shift) * np.max(np.abs(g))
+
+    trs = solve_trs(z, graph, lam)
+    ucqp = solve_ucqp(z, graph, lam)
+    assert trs.stationarity_inf <= bound(trs.mu, trs.raw)
+    assert ucqp.residual_inf <= bound(1.0, ucqp.raw)
+    assert trs.cg_iterations == 0 and ucqp.iterations == 0
+    relabelled, moved, perm = relabelled_path(z, 91)
+    cg_trs = solve_trs(moved, relabelled, lam)
+    cg_ucqp = solve_ucqp(moved, relabelled, lam)
+    assert cg_trs.cg_iterations > 0 and cg_ucqp.iterations > 0
+    assert np.max(np.abs(trs.raw - cg_trs.raw[perm])) <= 1e-11 * np.max(np.abs(z))
+    assert np.max(np.abs(ucqp.raw - cg_ucqp.raw[perm])) <= 1e-11 * np.max(np.abs(z))
 
 
 def test_methods_are_reproducible():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import adjacency_apply_edgewise, brute_force_min_n3, graph_edges_brute
+from conftest import adjacency_apply_edgewise, brute_force_min_n3, graph_edges_brute, relabelled_path
 from modrec import baselines, graphs, qcqp
 from modrec.circle import circle_embed
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
@@ -123,6 +123,28 @@ def test_is_path_rejects_other_graphs():
     star = GraphSpec(n=5, edges=[(0, i) for i in range(1, 5)])
     for g in (relabelled, cycle, star, grid_graph(1, 6, radius=2), grid_graph(2, 2)):
         assert not g._is_path
+        assert g._path_eigenbasis is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 28])
+def test_path_eigenbasis_matches_the_laplacian(n):
+    graph = path_graph(n)
+    basis = graph._path_eigenbasis
+    identity = np.eye(n, dtype=complex)
+    V = np.array([basis.inverse(e) for e in identity]).T  # V e_k: the eigenvector k
+    forward = np.array([basis.forward(e) for e in identity]).T
+    assert np.max(np.abs(forward - V.T)) <= 1e-15  # forward is V^T: V is real
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-14
+    L = graph.laplacian()
+    w, U = np.linalg.eigh(L)  # the path's eigenvalues are simple
+    assert basis.eigenvalues[0] == 0.0 and np.all(np.diff(basis.eigenvalues) > 0)
+    assert np.max(np.abs(basis.eigenvalues - w)) <= 1e-14
+    assert np.max(np.abs(L @ V - V * basis.eigenvalues)) <= 1e-14
+    assert np.max(np.abs(np.abs(U.T @ V) - np.eye(n))) <= 1e-13  # the same vectors up to sign
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.max(np.abs(basis.inverse(basis.forward(v)) - v)) <= 1e-14 * np.max(np.abs(v))
+    assert np.max(np.abs(basis.forward(basis.inverse(v)) - v)) <= 1e-14 * np.max(np.abs(v))
 
 
 def test_path_apply_builds_no_scatter_table():
@@ -155,9 +177,13 @@ def _solver_outputs(graph, z):
     ],
 )
 def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
+    # A path is relabelled, z carried along: on path_graph itself the
+    # relaxations solve in the eigenbasis and apply L only for the residual.
     data = generate(SyntheticSpec(function=function, d=d, m=m, sigma=0.1, seed=61))
     z = circle_embed(data.noisy_mod.flat)
     graph = grid_graph(d, m)
+    if d == 1:
+        graph, z, _ = relabelled_path(z, 61)
     fast = _solver_outputs(graph, z)
     calls = []
 
@@ -167,7 +193,7 @@ def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
 
     monkeypatch.setattr(graphs, "adjacency_apply", oracle)
     monkeypatch.setattr(qcqp, "adjacency_apply", oracle)
-    assert _solver_outputs(grid_graph(d, m), z) == fast
+    assert _solver_outputs(GraphSpec(n=graph.n, edges=graph.edges), z) == fast
     assert len(calls) > 100  # the solvers ran the oracle
 
 

@@ -67,7 +67,6 @@ from .knn import (
     choose_k_expected_risk,
     choose_k_practical,
     choose_k_sup_norm,
-    circle_estimate,
     denoise,
     expected_risk_bound,
     sup_error_scale,
@@ -77,11 +76,9 @@ from .linalg import hermitian_eig
 from .qcqp import (
     QcqpProblem,
     SolveReport,
-    critical_point_checks,
     hessian_apply,
     objective,
     riemannian_grad,
-    second_order_quadform,
     solve_qcqp,
     tangent_project,
 )

@@ -265,6 +265,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "interp":
+        if args.resample and not args.out:
+            raise UsageError("--resample requires --out")
         field = fileio.read_field(args.inp)
         model = interpolate.fit(field)
         values = {}
@@ -272,8 +274,6 @@ def _run(args) -> int:
             x = _csv(float)(spec)
             values[spec] = interpolate.evaluate(model, np.array(x))
         if args.resample:
-            if not args.out:
-                raise UsageError("--resample requires --out")
             from .grid import UniformGrid, mesh_points
 
             fine = UniformGrid(d=field.grid.d, m=args.resample)

@@ -296,28 +296,14 @@ def _axis_points(n: int, d: int) -> int:
     return m
 
 
-def _method_ghat(method: str, data: SyntheticData, config: McConfig) -> GridField:
-    """Denoised mod-1 field for one method."""
-    grid = data.noisy_mod.grid
+def _method_ghat(method: str, noisy_mod: GridField, k, lam, graph) -> GridField:
+    """Denoised mod-1 field for one method: k serves knn, lam and graph the
+    relaxations."""
     if method == "knn":
-        k = choose_k_practical(grid.n, d=grid.d, C=config.C)
-        return denoise(data.noisy_mod, k).ghat
-    lam = baselines.lambda_schedule(config.kappa, grid.n)
-    graph = grid_graph(grid.d, grid.m)  # the path graph at d = 1
-    z = circle_embed(data.noisy_mod.flat)
-    if method == "ucqp":
-        result = baselines.solve_ucqp(z, graph, lam)
-    else:
-        result = baselines.solve_trs(z, graph, lam)
-    return GridField.from_flat(grid, np.asarray(circle_arg(result.signal)), kind="mod1")
-
-
-def run_trial(method: str, data: SyntheticData, config: McConfig) -> TrialResult:
-    ghat = _method_ghat(method, data, config)
-    unw = unwrap_multid(ghat)
-    return metrics(
-        unw.field, ghat, data.noisy_mod, data.truth, method=method, seed=data.spec.seed
-    )
+        return denoise(noisy_mod, k).ghat
+    solve = baselines.solve_ucqp if method == "ucqp" else baselines.solve_trs
+    result = solve(circle_embed(noisy_mod.flat), graph, lam)
+    return GridField.from_flat(noisy_mod.grid, np.asarray(circle_arg(result.signal)), kind="mod1")
 
 
 @dataclass(frozen=True)
@@ -370,8 +356,13 @@ def monte_carlo(config: McConfig, collect_trials: bool = False):
     """
     cells = []
     all_trials = []
+    relax = bool({"ucqp", "trs"} & set(config.methods))
     for n in config.n_sweep:
         m = _axis_points(n, config.d)
+        # Every trial at this size shares these; each is built once.
+        k = choose_k_practical(n, d=config.d, C=config.C) if "knn" in config.methods else None
+        lam = baselines.lambda_schedule(config.kappa, n) if relax else None
+        graph = grid_graph(config.d, m) if relax else None  # the path graph at d = 1
         per_method = {method: [] for method in config.methods}
         failures = {method: 0 for method in config.methods}
         for t in range(config.trials):
@@ -385,10 +376,14 @@ def monte_carlo(config: McConfig, collect_trials: bool = False):
             data = generate(spec)
             for method in config.methods:
                 try:
-                    res = run_trial(method, data, config)
+                    ghat = _method_ghat(method, data.noisy_mod, k, lam, graph)
                 except (baselines.HardCaseError, baselines.NumericError):
                     failures[method] += 1
                     continue
+                unw = unwrap_multid(ghat)
+                res = metrics(
+                    unw.field, ghat, data.noisy_mod, data.truth, method=method, seed=spec.seed
+                )
                 per_method[method].append(res)
                 if collect_trials:
                     all_trials.append((n, res))

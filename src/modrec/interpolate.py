@@ -17,7 +17,12 @@ from .grid import GridField
 
 
 def fit(ftilde: GridField) -> GridField:
-    """The interpolant of a field is the field itself: its grid and its frozen samples."""
+    """The interpolant of a real field is the field itself: its grid and its
+    frozen samples.  A mod1 field raises ValueError: interpolating across the
+    0/1 seam is wrong (between 0.9 and 0.1 it gives 0.5, not 0.0), so unwrap it
+    first."""
+    if ftilde.kind != "real":
+        raise ValueError("fit expects a real field; unwrap a mod1 field first")
     return ftilde
 
 

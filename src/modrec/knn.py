@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, circle_arg, circle_embed
-from .grid import GridField, _knn_axis_ranges, floor_root
+from .grid import GridField, floor_root
 from .unwrap import itoh_check
 
 
@@ -162,21 +162,6 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     return DenoiseResult(
         ghat=field, k=int(k), zero_resultants=int(zero_mask.sum()), radius_histogram=histogram
     )
-
-
-def circle_estimate(y: GridField, k: int, x) -> complex:
-    """kNN circle estimate at an arbitrary point x in [0,1]^d (unit complex).
-
-    The un-normalized neighborhood mean is projected to the circle; an exactly
-    zero mean returns 1 by the projection convention.
-    """
-    if y.kind != "mod1":
-        raise ValueError("circle_estimate expects a mod1 field")
-    ranges, _ = _knn_axis_ranges(y.grid, x, k)
-    block = y.values[tuple(slice(lo, hi + 1) for lo, hi in ranges)]
-    s = circle_embed(block).sum()
-    mag = abs(s)
-    return complex(s / mag) if mag > _CANCEL_TOL * block.size else 1.0 + 0.0j
 
 
 def _check_sigma_M(sigma: float, M: float) -> None:

@@ -8,10 +8,9 @@ so it trades data fidelity against graph smoothness.
 This module provides the objective, tangent-space projection, Riemannian
 gradient and Hessian, a projected-gradient solver with Barzilai-Borwein
 initial steps and Armijo backtracking (retraction = componentwise radial
-projection), and the sign/realness checks satisfied at first- and
-second-order critical points.  The solver certifies first-order criticality
-only; global optimality is established separately via the dual certificate
-in :mod:`modrec.certificate`.
+projection).  The solver certifies first-order criticality only; global
+optimality is established separately via the dual certificate in
+:mod:`modrec.certificate`.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import project_to_circle
-from .graphs import GraphSpec, adjacency_apply, laplacian_apply, quadratic_form
+from .graphs import GraphSpec, laplacian_apply, quadratic_form
 
 MAX_ITER = 100_000  # iteration cap of one descent
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-CRITICAL_TOL_SCALE = 1e-7  # critical_point_checks tolerance per vertex
 
 
 @dataclass(frozen=True)
@@ -156,60 +154,3 @@ def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
         backtracks=backtracks,
     )
 
-
-@dataclass(frozen=True)
-class CriticalPointReport:
-    """Realness and sign diagnostics of a candidate critical point.
-
-    At first-order points z^* ghat and every ghat_i^* (z + lam*W*ghat)_i are
-    real; at second-order points they are also nonnegative.  tol scales with
-    the signal length.
-    """
-
-    imag_data_term: float
-    max_imag_diag: float
-    min_real_diag: float
-    data_alignment: float
-    tol: float
-
-    @property
-    def first_order_ok(self) -> bool:
-        return self.imag_data_term <= self.tol and self.max_imag_diag <= self.tol
-
-    @property
-    def second_order_ok(self) -> bool:
-        return self.data_alignment >= -self.tol and self.min_real_diag >= -self.tol
-
-    @property
-    def all_ok(self) -> bool:
-        return self.first_order_ok and self.second_order_ok
-
-
-def critical_point_checks(problem: QcqpProblem, ghat: np.ndarray) -> CriticalPointReport:
-    g = np.asarray(ghat, dtype=complex)
-    diag_terms = np.conj(g) * (problem.z + problem.lam * adjacency_apply(problem.graph, g))
-    data = complex(np.vdot(problem.z, g))
-    return CriticalPointReport(
-        imag_data_term=abs(data.imag),
-        max_imag_diag=float(np.max(np.abs(diag_terms.imag))),
-        min_real_diag=float(np.min(diag_terms.real)),
-        data_alignment=data.real,
-        tol=CRITICAL_TOL_SCALE * problem.graph.n,
-    )
-
-
-def second_order_quadform(problem: QcqpProblem, ghat: np.ndarray, u: np.ndarray) -> float:
-    """Real quadratic form u^T {Re diag(z*conj(ghat)) + lam*L_w} u, where L_w is
-    the Laplacian of the graph reweighted by Re(ghat_i * conj(ghat_j)).
-
-    Nonnegative (up to roundoff) for every real u at second-order critical
-    points.
-    """
-    g = np.asarray(ghat, dtype=complex)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.graph.n,):
-        raise ValueError("u must be a real vector of length n")
-    ei, ej = problem.graph._edge_arrays
-    w = np.real(g[ei] * np.conj(g[ej]))
-    diag = np.real(problem.z * np.conj(g))
-    return float(np.sum(diag * u ** 2) + problem.lam * np.sum(w * (u[ei] - u[ej]) ** 2))

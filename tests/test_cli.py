@@ -413,11 +413,16 @@ _REPORTS = {
          "data error: errors must be finite"),
         (("rate", "--ns", "10,10,10", "--errors", "1,2,3"), 2,
          "data error: need 2 sample sizes with distinct log(log(n)/n)"),
+        (("interp", "--in", "{mod1}", "--at", "0.5"), 2, "data error: fit expects a real field"),
+        # The input does not exist: a data error (exit 2) would mean it was read first.
+        (("interp", "--in", "{absent}", "--resample", "5"), 1, "usage error: --resample requires --out"),
     ],
 )
 def test_bad_inputs_exit_with_a_message_not_a_traceback(tmp_path, capsys, argv, code, prefix):
-    paths = {"y": tmp_path / "y.gf", "mc": tmp_path / "absent.json"}
+    paths = {"y": tmp_path / "y.gf", "mod1": tmp_path / "mod1.gf", "mc": tmp_path / "absent.json",
+             "absent": tmp_path / "absent.gf"}
     write_field(paths["y"], GridField(UniformGrid(1, 5), np.linspace(0.0, 1.0, 5)))
+    write_field(paths["mod1"], GridField(UniformGrid(1, 5), np.linspace(0.0, 0.8, 5), kind="mod1"))
     for name, text in _REPORTS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

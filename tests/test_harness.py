@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modrec import harness
 from modrec.circle import mod1
+from modrec.graphs import grid_graph
 from modrec.grid import GridField, UniformGrid, mesh_points
 from modrec.harness import (
     LIPSCHITZ_EXAMPLE2,
@@ -21,8 +23,8 @@ from modrec.harness import (
     monte_carlo,
     rate_fit,
     run_pipeline,
-    run_trial,
 )
+from modrec.knn import choose_k_practical
 from modrec.unwrap import ItohReport
 
 
@@ -162,13 +164,26 @@ def test_metrics_perfect_and_offset():
 def test_monte_carlo_single_trial_matches_pipeline():
     config = McConfig(n_sweep=(64,), trials=1, base_seed=3, methods=("knn",), sigma=0.1)
     summary, trials = monte_carlo(config, collect_trials=True)
-    spec = SyntheticSpec(function="example1", d=1, m=64, sigma=0.1, seed=3)
-    data = generate(spec)
-    direct = run_trial("knn", data, config)
+    data = generate(SyntheticSpec(function="example1", d=1, m=64, sigma=0.1, seed=3))
+    pipe = run_pipeline(data.noisy_mod, choose_k_practical(64, d=1, C=config.C))
+    direct = metrics(pipe.ftilde, pipe.ghat, data.noisy_mod, data.truth, method="knn", seed=3)
     assert trials[0][1] == direct
     cell = summary.cell(64, "knn")
     assert cell.means["wrap_mse_denoised"] == direct.wrap_mse_denoised
     assert cell.trials == 1 and cell.failures == 0
+
+
+def test_monte_carlo_builds_one_graph_per_size(monkeypatch):
+    built = []
+
+    def counting(d, m, radius=1):
+        built.append((d, m))
+        return grid_graph(d, m, radius)
+
+    monkeypatch.setattr(harness, "grid_graph", counting)
+    summary = monte_carlo(McConfig(n_sweep=(16, 64), trials=2, methods=("ucqp", "trs")))
+    assert built == [(1, 16), (1, 64)]  # not one per method and trial
+    assert [(c.trials, c.failures) for c in summary.cells] == [(2, 0)] * 4
 
 
 def test_monte_carlo_method_order_invariance():

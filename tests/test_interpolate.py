@@ -110,3 +110,11 @@ def test_domain_errors():
     for x in ([np.nan, 0.5], [[0.5, 0.5], [0.5, np.nan]]):
         with pytest.raises(ValueError, match=r"must lie in \[0,1\]\^d"):
             evaluate(model, np.array(x))
+
+
+def test_fit_rejects_a_mod1_field():
+    # Between samples 0.9 and 0.1 the interpolant would read 0.5; the wrapped
+    # midpoint is 0.0.  Such a field must be unwrapped first.
+    field = GridField(UniformGrid(1, 2), np.array([0.9, 0.1]), kind="mod1")
+    with pytest.raises(ValueError, match="fit expects a real field"):
+        fit(field)

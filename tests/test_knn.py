@@ -12,7 +12,6 @@ from modrec.knn import (
     choose_k_expected_risk,
     choose_k_practical,
     choose_k_sup_norm,
-    circle_estimate,
     denoise,
     expected_risk_bound,
     sup_error_scale,
@@ -72,17 +71,21 @@ def _denoise_oracle(f: GridField, k: int) -> np.ndarray:
 
 
 def test_denoise_matches_definition_oracle():
-    # m = 7 and 6 have spacings inexact in binary; the kNN sets of grid points
-    # must tie exactly as the integer boxes do.
+    # Spacings 1/5, 1/6, 1/9 and 1/10 are inexact in binary, yet grid points
+    # equidistant from a grid point must tie exactly as the integer boxes do.
     rng = np.random.default_rng(22)
-    for grid, ks in (
+    cases = [
         (UniformGrid(1, 9), (1, 2, 4, 9)),
         (UniformGrid(2, 5), (1, 3, 7, 25)),
         (UniformGrid(1, 7), (2, 3, 4, 7)),
         (UniformGrid(2, 6), (2, 5, 10, 36)),
-    ):
+    ]
+    ks = (2, 3, 4, 5, 8, 9, 10)
+    cases += [(UniformGrid(1, m), ks) for m in (7, 9, 10, 11)]
+    cases += [(UniformGrid(2, m), ks) for m in (7, 10)]
+    for grid, ks in cases:
         f = random_mod1_field(grid, rng)
-        for k in ks:
+        for k in (k for k in ks if k <= grid.n):
             got = denoise(f, k).ghat.flat
             want = _denoise_oracle(f, k)
             assert np.max(np.abs(got - want)) < 1e-12, (grid, k)
@@ -189,31 +192,14 @@ def test_denoise_validates_input():
 
 
 def test_queries_reject_nan_and_infinite_coordinates():
-    field = GridField(UniformGrid(2, 5), np.zeros((5, 5)), kind="mod1")
+    grid = UniformGrid(2, 5)
     for bad in (np.nan, np.inf, -np.inf):
         for x in ((bad, 0.5), (0.5, bad)):
             for query in (knn_set, knn_radius):
                 with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
-                    query(field.grid, x, 2)
-            with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
-                circle_estimate(field, 2, x)
+                    query(grid, x, 2)
     with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
         knn_set(UniformGrid(1, 5), (np.nan,), 2)
-
-
-def test_circle_estimate_matches_full_field_denoise():
-    # Spacings 1/6, 1/9 and 1/10 are inexact in binary, yet grid points
-    # equidistant from the query must tie: at a grid point the estimate uses
-    # the same integer box as denoise.
-    rng = np.random.default_rng(25)
-    grids = [UniformGrid(1, m) for m in (9, 7, 10, 11)] + [UniformGrid(2, 7), UniformGrid(2, 10)]
-    for grid in grids:
-        f = random_mod1_field(grid, rng)
-        for k in (k for k in (2, 3, 4, 5, 8, 9, 10) if k <= grid.n):
-            den = denoise(f, k).ghat.flat
-            for rank, idx in enumerate(iter_lex(grid)):
-                u = circle_estimate(f, k, grid.point(idx))
-                assert wrap_distance(circle_arg(u), den[rank]) < 1e-12, (grid, k, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +396,8 @@ def test_embedded_noise_mean_shrinkage():
 
 def test_pointwise_risk_below_bound_small_mc():
     # Light version of the bias-variance contract (the acceptance suite runs
-    # the full 200-trial check): MC risk of the circle estimate stays under
-    # the expected-risk bound.
+    # the full 200-trial check): MC risk of the denoised circle value at a
+    # grid point stays under the expected-risk bound.
     rng = np.random.default_rng(28)
     grid = UniformGrid(1, 64)
     sigma, M = 0.1, 1.0
@@ -424,7 +410,7 @@ def test_pointwise_risk_below_bound_small_mc():
     for _ in range(60):
         y = np.asarray(mod1(f + sigma * rng.standard_normal(grid.n)))
         fld = GridField(grid, y, kind="mod1")
-        hk = circle_estimate(fld, k, xs[point : point + 1])
+        hk = np.exp(1j * TWO_PI * denoise(fld, k).ghat.flat[point])
         errs.append(abs(hk - h[point]) ** 2)
     bound = expected_risk_bound(RiskBoundInputs(d=1, sigma=sigma, M=M, n=grid.n, k=k))
     assert np.mean(errs) <= bound.value

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import adjacency_apply_edgewise, brute_force_min_n3, graph_edges_brute, relabelled_path
-from modrec import baselines, graphs, qcqp
+from modrec import baselines, graphs
 from modrec.circle import circle_embed
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.graphs import (
@@ -14,13 +14,12 @@ from modrec.graphs import (
     path_graph,
     quadratic_form,
 )
+from modrec.certificate import linf_error_bound, schur_block, tightness_verdict
 from modrec.qcqp import (
     QcqpProblem,
-    critical_point_checks,
     hessian_apply,
     objective,
     riemannian_grad,
-    second_order_quadform,
     solve_qcqp,
     tangent_project,
 )
@@ -160,7 +159,7 @@ def _solver_outputs(graph, z):
     lam = baselines.lambda_schedule(0.04, graph.n)
     trs = baselines.solve_trs(z, graph, lam)
     ucqp = baselines.solve_ucqp(z, graph, lam)
-    report = qcqp.solve_qcqp(QcqpProblem(z, graph, 0.5))
+    report = solve_qcqp(QcqpProblem(z, graph, 0.5))
     return [
         trs.raw.tobytes(), np.float64(trs.mu).tobytes(), trs.cg_iterations, trs.bisect_iterations,
         ucqp.raw.tobytes(), ucqp.iterations,
@@ -192,7 +191,6 @@ def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
         return adjacency_apply_edgewise(graph_, g)
 
     monkeypatch.setattr(graphs, "adjacency_apply", oracle)
-    monkeypatch.setattr(qcqp, "adjacency_apply", oracle)
     assert _solver_outputs(GraphSpec(n=graph.n, edges=graph.edges), z) == fast
     assert len(calls) > 100  # the solvers ran the oracle
 
@@ -476,41 +474,50 @@ def test_solver_counts_backtracks():
 # Critical point structure
 
 
-def test_critical_point_checks_at_lam0():
+def test_verdict_at_lam0_on_the_data_itself():
+    # At lam = 0 the data is the minimizer: no gradient, A = I, Re(z^* z) = n.
     rng = np.random.default_rng(54)
     z = _random_torus(rng, 5)
     prob = QcqpProblem(z=z, graph=path_graph(5), lam=0.0)
-    rep = critical_point_checks(prob, z)
-    assert rep.imag_data_term < 1e-12
-    assert rep.max_imag_diag < 1e-12
-    assert rep.data_alignment == pytest.approx(5.0, rel=1e-12)
-    assert rep.min_real_diag == pytest.approx(1.0, rel=1e-12)
-    assert rep.all_ok
+    cert = tightness_verdict(prob, z)
+    assert cert.tight and not cert.indeterminate
+    assert cert.certificate_residual < 1e-12  # |Im(z^* z)| and ||grad||_inf / 2
+    assert float(np.max(np.abs(riemannian_grad(prob, z)))) < 1e-12
+    assert cert.data_alignment == pytest.approx(5.0, rel=1e-12)
+    assert np.allclose(schur_block(z, 0.0, prob.graph, z), np.eye(5), rtol=0.0, atol=1e-12)
 
 
-def test_critical_point_checks_on_solver_output():
+def test_solver_output_is_certified_tight():
     rng = np.random.default_rng(55)
     for graph in (path_graph(10), grid_graph(2, 3)):
         z = _random_torus(rng, graph.n)
         prob = QcqpProblem(z=z, graph=graph, lam=0.05)
         rep = solve_qcqp(prob)
         assert rep.converged
-        checks = critical_point_checks(prob, rep.ghat)
-        assert checks.all_ok
+        assert tightness_verdict(prob, rep.ghat).tight
 
 
-def test_critical_point_checks_negative_control():
+def test_verdict_rejects_a_perturbed_point():
     rng = np.random.default_rng(56)
     z = _random_torus(rng, 8)
     prob = QcqpProblem(z=z, graph=path_graph(8), lam=0.05)
     rep = solve_qcqp(prob)
     bad = rep.ghat.copy()
     bad[3] *= np.exp(1j * 0.3)
-    checks = critical_point_checks(prob, bad)
-    assert not checks.all_ok
+    with pytest.raises(ValueError, match="not critical"):
+        tightness_verdict(prob, bad)
 
 
-def test_second_order_quadform():
+def _second_order_form(prob, g, u):
+    """1/2 Re<i*u*g, Hess(i*u*g)> for real u: the curvature of the objective
+    along the rotation g*exp(i*t*u), which equals
+    u^T {Re diag(z*conj(g)) + lam*L_w} u with L_w the Laplacian reweighted by
+    Re(g_i*conj(g_j)).  Nonnegative at second-order critical points."""
+    xi = 1j * np.asarray(u, dtype=float) * g
+    return 0.5 * float(np.real(np.vdot(xi, hessian_apply(prob, g, xi))))
+
+
+def test_hessian_second_order_form():
     rng = np.random.default_rng(57)
     n = 7
     z = _random_torus(rng, n)
@@ -518,21 +525,19 @@ def test_second_order_quadform():
     prob = QcqpProblem(z=z, graph=graph, lam=0.04)
     rep = solve_qcqp(prob)
     ones = np.ones(n)
-    val = second_order_quadform(prob, rep.ghat, ones)
+    val = _second_order_form(prob, rep.ghat, ones)
     assert val == pytest.approx(float(np.real(np.vdot(z, rep.ghat))), rel=1e-9)
     prob0 = QcqpProblem(z=z, graph=graph, lam=0.0)
     u = rng.standard_normal(n)
-    assert second_order_quadform(prob0, z, u) == pytest.approx(float(np.sum(u ** 2)), rel=1e-12)
+    assert _second_order_form(prob0, z, u) == pytest.approx(float(np.sum(u ** 2)), rel=1e-12)
     for _ in range(20):
         u = rng.standard_normal(n)
-        assert second_order_quadform(prob, rep.ghat, u) >= -1e-8 * float(np.sum(u ** 2))
+        assert _second_order_form(prob, rep.ghat, u) >= -1e-8 * float(np.sum(u ** 2))
 
 
 def test_linf_stability_bound_on_planted_instance():
     # lam * Delta < sqrt(2) and a certified-global solution: the error bound
     # from the problem data must dominate the realized error.
-    from modrec.certificate import linf_error_bound, tightness_verdict
-
     rng = np.random.default_rng(58)
     n = 24
     x = np.arange(n) / (n - 1)

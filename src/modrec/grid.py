@@ -82,7 +82,7 @@ class GridField:
         v = np.array(self.values, copy=True)
         if np.iscomplexobj(v):
             raise ValueError("field values must be real")
-        v = v.astype(float)
+        v = v.astype(float, copy=False)
         if v.shape != self.grid.shape:
             raise ValueError(f"value shape {v.shape} does not match grid shape {self.grid.shape}")
         if self.kind == "mod1":

@@ -76,13 +76,27 @@ class PlantedFunction:
     """Separable trigonometric test function on [0,1]^d.
 
     f(x) = offset + sum_j amp_j * sin(2*pi*freq_j*x_j + phase_j); the l-inf
-    Lipschitz constant is sum_j 2*pi*freq_j*|amp_j|.
+    Lipschitz constant is sum_j 2*pi*freq_j*|amp_j|.  The three tuples hold
+    one finite entry per axis and the offset is finite; anything else is
+    rejected when built.  on_grid evaluates each term once per axis
+    coordinate, bitwise equal to calling f on every grid point.
     """
 
     amplitudes: tuple
     frequencies: tuple
     phases: tuple
     offset: float = 0.0
+
+    def __post_init__(self):
+        lengths = {len(self.amplitudes), len(self.frequencies), len(self.phases)}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError(
+                "amplitudes, frequencies and phases need one entry per axis, got lengths "
+                f"{len(self.amplitudes)}, {len(self.frequencies)} and {len(self.phases)}"
+            )
+        values = (*self.amplitudes, *self.frequencies, *self.phases, self.offset)
+        if not np.all(np.isfinite(np.array(values, dtype=float))):
+            raise ValueError(f"planted function parameters must be finite, got {self!r}")
 
     @property
     def d(self) -> int:
@@ -99,6 +113,20 @@ class PlantedFunction:
         out = np.full(pts.shape[:-1], self.offset)
         for j, (a, f, p) in enumerate(zip(self.amplitudes, self.frequencies, self.phases)):
             out = out + a * np.sin(2.0 * np.pi * f * pts[..., j] + p)
+        return out
+
+    def on_grid(self, grid: UniformGrid) -> np.ndarray:
+        """f on every point of grid, as an array of grid.shape.
+
+        Term j is computed on the m axis coordinates and broadcast along axis
+        j; the terms are added in __call__'s order, so every value sees the
+        same floating-point operations as __call__(mesh_points(grid)).
+        """
+        x = grid.axis_coords()
+        out = np.full(grid.shape, self.offset)
+        for j, (a, f, p) in enumerate(zip(self.amplitudes, self.frequencies, self.phases)):
+            term = a * np.sin(2.0 * np.pi * f * x + p)
+            out = out + term.reshape((-1,) + (1,) * (self.d - 1 - j))
         return out
 
 
@@ -148,10 +176,14 @@ class SyntheticData:
 
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
-    """Sample truth = f on the grid and noisy_mod = (truth + noise) mod 1."""
+    """Sample truth = f on the grid and noisy_mod = (truth + noise) mod 1.
+
+    A PlantedFunction is evaluated once per axis (PlantedFunction.on_grid);
+    any other function is called on mesh_points(grid)."""
     grid = UniformGrid(d=spec.d, m=spec.m)
     func = _resolve_function(spec.function, spec.d)
-    truth = np.asarray(func(mesh_points(grid)), dtype=float)
+    values = func.on_grid(grid) if isinstance(func, PlantedFunction) else func(mesh_points(grid))
+    truth = np.asarray(values, dtype=float)
     if truth.shape != grid.shape:
         raise ValueError("function did not evaluate to one value per grid point")
     noise = spec.sigma * keyed_normals(spec.seed, grid.n).reshape(grid.shape)

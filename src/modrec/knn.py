@@ -7,11 +7,15 @@ discards the magnitude, the averaging normalization is irrelevant; we divide
 by the actual neighborhood size, which is also the right thing under ties.
 
 Neighborhoods of grid points are integer Chebyshev boxes clipped to the grid,
-so the whole pass runs on d-dimensional prefix sums (summed-area tables), with
-a fixed summation order that makes results independent of scheduling.  Every
-box that is not clipped has the same radius, so the grid is summed at that
-radius in O(2^d n); only the boundary shell, where clipped boxes hold too few
-points, searches for larger radii: O(s log m) more for s shell points.
+so the whole pass runs on one d-dimensional prefix-sum table (Crow's
+summed-area table), with a fixed summation order that makes results
+independent of scheduling.  Every box that is not clipped has the same
+radius c, and the table carries c edge copies on each side of every axis,
+which fold the clipping into the table: each of the 2^d corners of every
+radius-c box is one slice, so the grid is summed at c in O(2^d n).  Only the
+boundary shell, where clipped boxes hold too few points, searches for larger
+radii and gathers its corners point by point: O(s log m) more for s shell
+points.
 
 Bandwidth selection implements three rules:
 
@@ -67,11 +71,24 @@ class DenoiseResult:
 _CANCEL_TOL = 1e-14
 
 
-def _padded_prefix_sums(arr: np.ndarray) -> np.ndarray:
-    p = arr
-    for ax in range(arr.ndim):
-        p = p.cumsum(axis=ax)
-    return np.pad(p, [(1, 0)] * arr.ndim)
+def _bordered_prefix_sums(z: np.ndarray, c: int) -> np.ndarray:
+    """Summed-area table of z with a border of c on every side of every axis.
+
+    The plain table P has a zero leading row per axis, P[j] summing z over
+    indices below j, so it is m + 1 long; the bordered table Q is
+    m + 2c + 1 long with Q[j] = P[clip(j - c, 0, m)] on each axis, the
+    values np.pad(P, c, mode="edge") would give, built without a second copy.
+    """
+    m = z.shape[0]
+    table = np.zeros((m + 2 * c + 1,) * z.ndim, dtype=z.dtype)
+    inner = table[(slice(c + 1, c + 1 + m),) * z.ndim]
+    np.cumsum(z, axis=0, out=inner)
+    for ax in range(1, z.ndim):
+        np.cumsum(inner, axis=ax, out=inner)
+    for ax in range(z.ndim):
+        rows = np.moveaxis(table, ax, 0)
+        rows[c + m + 1:] = rows[c + m]
+    return table
 
 
 def _windows(idx: tuple, c, m: int):
@@ -89,36 +106,42 @@ def _windows(idx: tuple, c, m: int):
     return lo, hi, sizes
 
 
-def _corner_sums(prefix: np.ndarray, lo: tuple, hi: tuple) -> np.ndarray:
-    """Box sums by inclusion-exclusion over the 2^d corners, in a fixed order."""
+def _corner_sums(table: np.ndarray, lo: tuple, hi: tuple, shape: tuple) -> np.ndarray:
+    """Box sums of the given shape by inclusion-exclusion over the 2^d corners,
+    in a fixed order; lo[a] and hi[a] index axis a of the table at each box's
+    lower and upper-plus-one corner."""
     d = len(lo)
-    total = np.zeros(np.broadcast(*lo).shape, dtype=prefix.dtype)
+    total = np.zeros(shape, dtype=table.dtype)
     for corner in itertools.product((0, 1), repeat=d):
-        pick = tuple(hi[a] + 1 if corner[a] else lo[a] for a in range(d))
+        pick = tuple(hi[a] if corner[a] else lo[a] for a in range(d))
         sign = 1 if (d - sum(corner)) % 2 == 0 else -1
-        total += sign * prefix[pick]
+        total += sign * table[pick]
     return total
 
 
-def _box_sums(prefix: np.ndarray, shape: tuple, k: int):
-    """Flat sums, sizes and radii of the smallest clipped Chebyshev box holding
-    >= k grid points, around every grid point.
+def _box_sums(z: np.ndarray, k: int):
+    """Flat sums, sizes and radii of the smallest clipped Chebyshev box of z
+    holding >= k grid points, around every grid point.
 
     Every box that is not clipped has the radius c0 = min{c : (2c+1)^d >= k},
-    and clipping only removes points, so no radius is below c0.  The whole grid
-    is summed at c0 with one open-mesh gather per corner; only the boundary
-    shell, whose boxes at c0 hold fewer than k points, is searched for its
-    radii and gathered point by point.
+    and clipping only removes points, so no radius is below c0.  In a
+    summed-area table bordered by c0 edge copies (_bordered_prefix_sums), the
+    corners of every radius-c0 box, clipped or not, sit at one fixed offset
+    from the point, so the whole grid is summed from 2^d slices.  Only the
+    boundary shell, whose boxes at c0 hold fewer than k points, is searched
+    for its radii and gathered point by point.
     """
-    d, m = len(shape), shape[0]
+    d, m = z.ndim, z.shape[0]
     c0 = (floor_root(k - 1, d) + 1) // 2
-    lo, hi, counts = _windows(np.ix_(*[np.arange(m)] * d), c0, m)
-    sums = _corner_sums(prefix, lo, hi).reshape(-1)
-    counts = counts.reshape(-1)
+    table = _bordered_prefix_sums(z, c0)
+    lo = (slice(0, m),) * d
+    hi = (slice(2 * c0 + 1, 2 * c0 + 1 + m),) * d
+    sums = _corner_sums(table, lo, hi, z.shape).reshape(-1)
+    counts = _windows(np.ix_(*[np.arange(m)] * d), c0, m)[2].reshape(-1)
     radii = np.full(counts.size, c0)
 
     shell = np.flatnonzero(counts < k)
-    idx = np.unravel_index(shell, shape)
+    idx = np.unravel_index(shell, z.shape)
     lo_c = np.full(shell.size, c0 + 1)
     hi_c = np.full(shell.size, m - 1)
     while np.any(lo_c < hi_c):
@@ -127,7 +150,7 @@ def _box_sums(prefix: np.ndarray, shape: tuple, k: int):
         hi_c = np.where(ok, mid, hi_c)
         lo_c = np.where(ok, lo_c, mid + 1)
     lo, hi, shell_counts = _windows(idx, lo_c, m)
-    sums[shell] = _corner_sums(prefix, lo, hi)
+    sums[shell] = _corner_sums(table, [i + c0 for i in lo], [i + 1 + c0 for i in hi], shell.size)
     counts[shell] = shell_counts
     radii[shell] = lo_c
     return sums, counts, radii
@@ -146,9 +169,7 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     grid = y.grid
     if not 1 <= k <= grid.n:
         raise ValueError(f"k must lie in [1, {grid.n}]")
-    z = circle_embed(y.values)
-    prefix = _padded_prefix_sums(z)
-    sums, counts, radii = _box_sums(prefix, grid.shape, k)
+    sums, counts, radii = _box_sums(circle_embed(y.values), k)
 
     mags = np.abs(sums)
     zero_mask = mags <= _CANCEL_TOL * counts

@@ -43,10 +43,22 @@ def knn_brute(grid: UniformGrid, x, k: int):
     return sorted(idxs), values[r]
 
 
-def box_sums_brute(prefix: np.ndarray, shape: tuple, k: int):
+def padded_prefix_sums(arr: np.ndarray) -> np.ndarray:
+    """The plain summed-area table of arr: cumulative sums axis by axis, then
+    a zero leading row on every axis."""
+    p = arr
+    for ax in range(arr.ndim):
+        p = p.cumsum(axis=ax)
+    return np.pad(p, [(1, 0)] * arr.ndim)
+
+
+def box_sums_brute(z: np.ndarray, k: int):
     """Slow-path oracle for knn._box_sums: a binary search for the radius of
     every grid point over [0, m - 1], then a point-by-point gather of the 2^d
-    prefix-sum corners in the same order and with the same signs."""
+    corners of the plain summed-area table in the same order and with the
+    same signs."""
+    prefix = padded_prefix_sums(z)
+    shape = z.shape
     d = len(shape)
     m = shape[0]
     idx = [ax.reshape(-1) for ax in np.indices(shape)]

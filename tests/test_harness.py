@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import random_planted
 from modrec import harness
 from modrec.circle import mod1
 from modrec.graphs import grid_graph
@@ -82,6 +83,52 @@ def test_planted_function_dimension_check():
         generate(SyntheticSpec(function=fn, d=1, m=8, sigma=0.0, seed=0))
     data = generate(SyntheticSpec(function=fn, d=2, m=8, sigma=0.0, seed=0))
     assert data.truth.values.shape == (8, 8)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((0.5,), (1, 2), ()), "one entry per axis"),
+        (((0.5,), (1, 2), (0.0, 0.1)), "one entry per axis"),
+        (((0.5, 0.2), (1,), (0.0, 0.1)), "one entry per axis"),
+        (((), (), ()), "one entry per axis"),
+        (((0.5,), (np.nan,), (0.0,)), "finite"),
+        (((np.inf,), (1,), (0.0,)), "finite"),
+        (((0.5,), (1,), (-np.inf,)), "finite"),
+        (((0.5,), (1,), (0.0,), np.nan), "finite"),
+    ],
+)
+def test_planted_function_rejects_unusable_parameters(args, message):
+    with pytest.raises(ValueError, match=message):
+        PlantedFunction(*args)
+
+
+def test_planted_truth_per_axis_equals_pointwise_call_bytewise():
+    # generate evaluates a planted function once per axis; every value must
+    # be the bytes that the pointwise call on the mesh gives.
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3, 4):
+        for m in (2, 3, 7, 17, 64):
+            if m ** d > 10 ** 6:
+                continue
+            fn = random_planted(d, rng, max_freq=5)
+            truth = generate(SyntheticSpec(function=fn, d=d, m=m, sigma=0.0, seed=0)).truth
+            grid = UniformGrid(d, m)
+            assert truth.values.tobytes() == fn(mesh_points(grid)).tobytes(), (d, m)
+
+
+def test_generate_builds_no_mesh_for_a_planted_function(monkeypatch):
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return mesh_points(grid)
+
+    monkeypatch.setattr(harness, "mesh_points", counted)
+    generate(SyntheticSpec(function=random_planted(3, np.random.default_rng(42)), d=3, m=9, sigma=0.1, seed=1))
+    assert calls == []
+    generate(SyntheticSpec(function="example1", d=1, m=9, sigma=0.1, seed=1))
+    assert calls == [UniformGrid(1, 9)]
 
 
 def test_lipschitz_example2_constant_vs_finite_differences():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import box_sums_brute, random_mod1_field
+from conftest import box_sums_brute, padded_prefix_sums, random_mod1_field
 from modrec import knn
 from modrec.circle import circle_arg, mod1, wrap_distance
 from modrec.grid import GridField, UniformGrid, iter_lex, knn_radius, knn_set
@@ -96,16 +96,15 @@ def test_box_machinery_against_integer_brute_force():
     # they can be checked tie-exactly on any m via Chebyshev distances.
     from itertools import product
 
-    from modrec.knn import _box_sums, _padded_prefix_sums
+    from modrec.knn import _box_sums
 
     rng = np.random.default_rng(29)
     for d, m in ((1, 6), (1, 7), (2, 6), (3, 4)):
         shape = (m,) * d
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        prefix = _padded_prefix_sums(vals)
         coords = list(product(range(m), repeat=d))
         for k in (1, 2, 5, m ** d):
-            sums, counts, radii = _box_sums(prefix, shape, k)
+            sums, counts, radii = _box_sums(vals, k)
             for flat_idx, j in enumerate(coords):
                 cheb = np.array([max(abs(a - b) for a, b in zip(j, other)) for other in coords])
                 c_expected = int(np.sort(cheb)[k - 1])
@@ -116,6 +115,21 @@ def test_box_machinery_against_integer_brute_force():
                 assert abs(sums[flat_idx] - direct) < 1e-10
 
 
+def test_bordered_table_is_the_edge_padded_plain_table():
+    # The bordered table is built in place, not padded from a second copy;
+    # it must hold exactly the bytes np.pad(mode="edge") puts around the
+    # plain table, border corners included.
+    rng = np.random.default_rng(31)
+    for d, m in ((1, 2), (1, 7), (1, 12), (2, 2), (2, 5), (2, 8), (3, 3), (3, 4), (4, 2), (4, 3)):
+        shape = (m,) * d
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plain = padded_prefix_sums(z)
+        for c in range(m // 2 + 1):
+            got = knn._bordered_prefix_sums(z, c)
+            want = np.pad(plain, c, mode="edge")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, m, c)
+
+
 # Every k on these grids covers m = 2, k = 1, k = n and boxes wider than the
 # grid (2 c0 + 1 > m).
 SMALL_GRIDS = [(1, m) for m in (2, 3, 4, 7, 12)] + [(2, m) for m in (2, 3, 5, 8)]
@@ -124,8 +138,9 @@ SMALL_GRIDS += [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 
 def test_denoise_bitwise_equals_slow_path_oracle(monkeypatch):
     # The shared-radius box stage must reproduce the full-grid radius search
-    # and point-by-point gather exactly, so denoise outputs are compared as
-    # bytes.  Half- and quarter-turn fields cancel exactly in some boxes.
+    # and point-by-point gather exactly, so denoise outputs and the box sums,
+    # sizes and radii are compared as bytes.  Half- and quarter-turn fields
+    # cancel exactly in some boxes.
     rng = np.random.default_rng(30)
     cancelled = wider_than_grid = 0
     for d, m in SMALL_GRIDS:
@@ -136,7 +151,7 @@ def test_denoise_bitwise_equals_slow_path_oracle(monkeypatch):
             GridField(grid, 0.25 * rng.integers(0, 4, size=grid.shape), kind="mod1"),
         ]
         for f in fields:
-            prefix = knn._padded_prefix_sums(np.exp(1j * TWO_PI * f.values))
+            z = np.exp(1j * TWO_PI * f.values)
             for k in range(1, grid.n + 1):
                 got = denoise(f, k)
                 with monkeypatch.context() as mp:
@@ -144,7 +159,10 @@ def test_denoise_bitwise_equals_slow_path_oracle(monkeypatch):
                     want = denoise(f, k)
                 assert got.ghat.values.tobytes() == want.ghat.values.tobytes(), (d, m, k)
                 assert got.zero_resultants == want.zero_resultants, (d, m, k)
-                radii = box_sums_brute(prefix, grid.shape, k)[2]
+                want_box = box_sums_brute(z, k)
+                for got_a, want_a in zip(knn._box_sums(z, k), want_box):
+                    assert got_a.tobytes() == want_a.tobytes(), (d, m, k)
+                radii = want_box[2]
                 r, points = np.unique(radii, return_counts=True)
                 assert got.radius_histogram == tuple(zip(r.tolist(), points.tolist()))
                 assert sum(p for _, p in got.radius_histogram) == grid.n

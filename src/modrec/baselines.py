@@ -38,7 +38,8 @@ from .circle import project_to_circle
 from .graphs import GraphSpec, laplacian_apply
 from .qcqp import QcqpProblem
 
-TRS_CG_TOL = 1e-12  # relative CG residual of each inner solve of solve_trs
+CG_TOL = 1e-12  # relative residual at which conjugate_gradient stops
+SECULAR_TOL = 1e-10  # relative norm defect |(||g||^2 - n)/n| at which solve_trs stops
 
 
 class HardCaseError(RuntimeError):
@@ -49,8 +50,9 @@ class NumericError(RuntimeError):
     """An inner iterative solve failed to reach its tolerance."""
 
 
-def conjugate_gradient(apply_A, b: np.ndarray, tol: float, x0=None):
-    """CG for Hermitian positive definite systems; returns (x, iters).
+def conjugate_gradient(apply_A, b: np.ndarray, x0=None):
+    """CG for Hermitian positive definite systems to the relative residual
+    CG_TOL; returns (x, iters).
 
     The iteration cap is 10 * max(b.size, 50)."""
     b = np.asarray(b, dtype=complex)
@@ -63,7 +65,7 @@ def conjugate_gradient(apply_A, b: np.ndarray, tol: float, x0=None):
         return np.zeros_like(b), 0
     max_iter = 10 * max(b.size, 50)
     for it in range(1, max_iter + 1):
-        if np.sqrt(rs) <= tol * b_norm:
+        if np.sqrt(rs) <= CG_TOL * b_norm:
             return x, it - 1
         Ap = apply_A(p)
         alpha = rs / float(np.real(np.vdot(p, Ap)))
@@ -72,7 +74,7 @@ def conjugate_gradient(apply_A, b: np.ndarray, tol: float, x0=None):
         rs_new = float(np.real(np.vdot(r, r)))
         p = r + (rs_new / rs) * p
         rs = rs_new
-    if np.sqrt(rs) <= tol * b_norm:
+    if np.sqrt(rs) <= CG_TOL * b_norm:
         return x, max_iter
     raise NumericError(
         f"conjugate gradients stalled at relative residual {np.sqrt(rs) / b_norm:.3e}"
@@ -87,12 +89,12 @@ class UcqpResult:
     iterations: int  # CG iterations; 0 on a path
 
 
-def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-12) -> UcqpResult:
+def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float) -> UcqpResult:
     """Solve (I + lam*L) g = z and project the minimizer onto the circle.
 
     On a path g is transformed back from z_k / (1 + lam Lambda_k) in the
-    eigenbasis, directly: iterations is 0 and cg_tol is not used.  Other
-    graphs run conjugate gradients to the relative residual cg_tol.
+    eigenbasis, directly, and iterations is 0.  Other graphs run conjugate
+    gradients.
     lam = 0 is the identity system: z itself is returned, exactly.
     """
     z = QcqpProblem(z, graph, lam).z
@@ -104,7 +106,7 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float, cg_tol: float = 1e-1
 
     basis = graph._path_eigenbasis
     if basis is None:
-        raw, iters = conjugate_gradient(apply_A, z, cg_tol)
+        raw, iters = conjugate_gradient(apply_A, z)
     else:
         raw, iters = basis.inverse(basis.forward(z) / (1.0 + lam * basis.eigenvalues)), 0
     residual = float(np.max(np.abs(apply_A(raw) - z)))
@@ -127,12 +129,7 @@ class TrsResult:
     cg_iterations: int  # CG iterations of every inner solve, hard-case check included; 0 on a path
 
 
-def solve_trs(
-    z: np.ndarray,
-    graph: GraphSpec,
-    lam: float,
-    bisect_tol: float = 1e-10,
-) -> TrsResult:
+def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
     """Sphere-constrained smoothing via a secant search on the secular equation.
 
     Finds mu > 0 with ||g||^2 = n for g = (lam*L + mu*I)^{-1} z.  L has null
@@ -147,7 +144,7 @@ def solve_trs(
     and HardCaseError is raised when ||g||^2 <= n there.
 
     The search starts at the upper end and stops once the norm defect is
-    within bisect_tol * n.  On a path, w = z - c is transformed once, each
+    within SECULAR_TOL * n.  On a path, w = z - c is transformed once, each
     secular evaluation is ||g||^2 = sum_k |w_k|^2 / (lam Lambda_k + mu)^2
     + n |c|^2 / mu^2 over the coefficients, and g takes one inverse
     transform at the end, so cg_iterations is 0.  On other graphs each
@@ -211,7 +208,7 @@ def solve_trs(
             def apply_A(v):
                 return lam * laplacian_apply(graph, v) + mu * v
 
-            x, iters = conjugate_gradient(apply_A, w, TRS_CG_TOL, x0=x0)
+            x, iters = conjugate_gradient(apply_A, w, x0=x0)
             cg_iters += iters
             return x - np.mean(x)
 
@@ -244,7 +241,7 @@ def solve_trs(
     mu, iters, side = hi, 0, 0
     while True:
         norm_sq = norm_sq_at(mu)
-        if abs(norm_sq - n) <= bisect_tol * n:
+        if abs(norm_sq - n) <= SECULAR_TOL * n:
             break
         # Illinois rule (see the docstring); side is the end moved last.
         if norm_sq > n:

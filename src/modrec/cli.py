@@ -3,12 +3,8 @@
 Every command is a thin adapter over the library: identical parameters give
 identical results to direct calls.  A flag that mirrors a library parameter
 has no default of its own: an omitted flag is not passed, so the library
-default applies.  --tol is the stopping tolerance of the solver the command
-runs: the Riemannian gradient sup norm for qcqp and certify, the relative
-conjugate-gradient residual for ucqp, and the relative norm defect
-|(||g||^2 - n)/n| of the secular root search for trs, on every graph.  On a
-path the ucqp solve is direct, in the path's eigenbasis, and uses no
-tolerance; trs reports cg_iterations 0 there.
+default applies.  On a path ucqp and trs solve in the path's eigenbasis,
+with no conjugate gradients, so trs reports cg_iterations 0 there.
 
 Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure
@@ -146,8 +142,6 @@ def _build_parser() -> _Parser:
         c.add_argument("--graph", type=_graph_radius, default="path",
                        help="path or knn-grid:<r>")
         c.add_argument("--lambda", dest="lam", type=_finite(0.0), default=0.0)
-        c.add_argument("--tol", type=_finite(0.0, strict=True),
-                       help="solver stopping tolerance (see modrec --help)")
         c.add_argument("--out", help="JSON report" if name == "certify" else "denoised mod-1 field")
 
     mc = sub.add_parser("mc", help="Monte Carlo sweep over n and methods")
@@ -289,10 +283,10 @@ def _run(args) -> int:
         graph = path_graph(grid.n) if args.graph is None else grid_graph(grid.d, grid.m, args.graph)
         z = circle_embed(field.flat)
         if args.command == "ucqp":
-            res = baselines.solve_ucqp(z, graph, args.lam, **_given(cg_tol=args.tol))
+            res = baselines.solve_ucqp(z, graph, args.lam)
             signal, info = res.signal, {"residual_inf": res.residual_inf}
         elif args.command == "trs":
-            res = baselines.solve_trs(z, graph, args.lam, **_given(bisect_tol=args.tol))
+            res = baselines.solve_trs(z, graph, args.lam)
             signal, info = res.signal, {
                 "mu": res.mu,
                 "norm_sq": res.norm_sq,
@@ -301,7 +295,7 @@ def _run(args) -> int:
             }
         else:
             problem = qcqp.QcqpProblem(z=z, graph=graph, lam=args.lam)
-            report = qcqp.solve_qcqp(problem, **_given(tol=args.tol))
+            report = qcqp.solve_qcqp(problem)
             signal = report.ghat
             info = {
                 "objective": report.objective,

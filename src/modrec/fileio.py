@@ -11,14 +11,14 @@ blank lines and every line after the header that starts with ``#``.  All
 writers emit deterministic byte streams for identical inputs: keys are
 sorted and float formatting is fixed.
 
-Fields are written and parsed in blocks of rows.  A file the block parse
-rejects is walked again one row at a time, and the reader raises the
-``FormatError`` of the first offending line, with its line number: the
-first line that has the wrong number of columns, lies beyond the n rows the
-header promises, does not parse as Python ``int`` indices and a ``float``
-value, carries an index out of lexicographic order, or holds a value
-outside [0, 1) (mod1) or not finite (real), checked in that order.  A file
-with too few rows raises without a line number.
+Fields are written and parsed in blocks of rows; ``GridField`` checks the
+values.  A file that either rejects is walked again one row at a time, and
+the reader raises the ``FormatError`` of the first offending line, with its
+line number: the first line that has the wrong number of columns, lies
+beyond the n rows the header promises, does not parse as Python ``int``
+indices and a ``float`` value, carries an index out of lexicographic order,
+or holds a value outside [0, 1) (mod1) or not finite (real), checked in
+that order.  A file with too few rows raises without a line number.
 
 Every writer opens its output through ``open_output``, which replaces an
 existing file rather than truncating it wherever nothing but the inode
@@ -172,16 +172,20 @@ def read_header(path) -> GridFileHeader:
 def read_field(path) -> GridField:
     header = read_header(path)
     grid = UniformGrid(d=header.d, m=header.m)
-    values = _parse_rows(path, grid, header.kind)
-    if values is None:
-        _raise_first_fault(path, grid, header.kind)
-    return GridField.from_flat(grid, values, kind=header.kind)
+    values = _parse_rows(path, grid)
+    if values is not None:
+        try:
+            return GridField.from_flat(grid, values, kind=header.kind)
+        except ValueError:  # a value outside the kind's range: find its line
+            pass
+    _raise_first_fault(path, grid, header.kind)
 
 
-def _parse_rows(path, grid: UniformGrid, kind: str) -> np.ndarray | None:
-    """The values of a well-formed file, parsed a block of lines at a time;
-    None if any data row fails a check of ``_check_row`` or the row count is
-    wrong.  Blank and ``#`` lines are skipped, as in the row walk."""
+def _parse_rows(path, grid: UniformGrid) -> np.ndarray | None:
+    """The values of the data rows, parsed a block of lines at a time; None
+    if any row fails a check of ``_check_row`` other than the value check,
+    which is GridField's, or the row count is wrong.  Blank and ``#`` lines
+    are skipped, as in the row walk."""
     d, n = grid.d, grid.n
     want = np.indices(grid.shape).reshape(d, n) + 1
     values = np.empty(n)
@@ -206,13 +210,7 @@ def _parse_rows(path, grid: UniformGrid, kind: str) -> np.ndarray | None:
                 return None
             values[row:row + r] = block
             row += r
-    if row != n:
-        return None
-    if kind == "mod1":
-        ok = np.all((values >= 0.0) & (values < 1.0))
-    else:
-        ok = np.all(np.isfinite(values))
-    return values if ok else None
+    return values if row == n else None
 
 
 def _raise_first_fault(path, grid: UniformGrid, kind: str) -> NoReturn:

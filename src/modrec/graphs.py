@@ -5,15 +5,14 @@ array of rows (i, j), i < j, in lexicographic order: every edge-wise sum
 accumulates in that order, whatever order the edges were given in.
 The Laplacian is the combinatorial one, L = diag(W 1) - W, applied from the
 edge list so that large sparse graphs never require a dense matrix.  The
-apply sums each vertex's neighbours in one fixed order: +0, then the
-neighbours j > i ascending, then the neighbours j < i ascending.  Paths take
-a two-slice stencil and every other graph one scatter over both edge
-directions; both perform exactly these additions in this order, so their
-floats are bit-identical to a sum edge by edge.  A path also carries the
-eigenbasis of its Laplacian (PathEigenbasis), in which the relaxations of
-baselines solve directly.  Dense W and L are
-available for small n: the dense lift of the certificate and the tests use
-them, while the tightness verdict builds its matrix from the edge list.
+apply is one scatter over both edge directions, which sums each vertex's
+neighbours in one fixed order: +0, then the neighbours j > i ascending,
+then the neighbours j < i ascending, so its floats are bit-identical to a
+sum edge by edge.  A path carries the eigenbasis of its Laplacian
+(PathEigenbasis), in which the relaxations of baselines solve directly.
+Dense W and L are available for small n: the dense lift of the certificate
+and the tests use them, while the tightness verdict builds its matrix from
+the edge list.
 """
 
 from __future__ import annotations
@@ -62,16 +61,12 @@ class GraphSpec:
         return self.edges[:, 0], self.edges[:, 1]  # contiguous: edges is Fortran-ordered
 
     @cached_property
-    def _is_path(self) -> bool:
+    def _path_eigenbasis(self) -> PathEigenbasis | None:
+        """The DCT eigenbasis of the Laplacian if the graph is a path, else None."""
         # The graph is connected, so if every edge joins i and i + 1, every
         # such edge is present and the edges are exactly (i, i + 1), i < n - 1.
         ei, ej = self._edge_arrays
-        return bool(np.all(ej - ei == 1))
-
-    @cached_property
-    def _path_eigenbasis(self) -> PathEigenbasis | None:
-        """The DCT eigenbasis of the Laplacian if the graph is a path, else None."""
-        return PathEigenbasis(self.n) if self._is_path else None
+        return PathEigenbasis(self.n) if np.all(ej - ei == 1) else None
 
     @cached_property
     def _scatter(self):
@@ -176,26 +171,21 @@ def adjacency_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
     over the neighbours j < i ascending, added in that order.
 
     The lexicographic edge order makes the scatter add each vertex's terms
-    in that order (np.add.at adds its indices in sequence), and on a path the
-    two slice additions give 0 + g[i+1] + g[i-1]; either way the result is
+    in that order (np.add.at adds its indices in sequence), so the result is
     bit-identical to one pass per edge direction.
     """
     v = np.asarray(g)
     if v.shape != (graph.n,):
         raise ValueError(f"vector length {v.shape} does not match n = {graph.n}")
     out = np.zeros(graph.n, dtype=v.dtype)
-    if graph._is_path:
-        out[:-1] += v[1:]
-        out[1:] += v[:-1]
-    else:
-        targets, sources = graph._scatter
-        np.add.at(out, targets, v[sources])
+    targets, sources = graph._scatter
+    np.add.at(out, targets, v[sources])
     return out
 
 
 def laplacian_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:
     """(L g)_i = deg_i g_i - (W g)_i, with W g summed in adjacency_apply's
-    per-vertex order, so the stencil and the scatter give the same floats."""
+    per-vertex order."""
     v = np.asarray(g)
     w = adjacency_apply(graph, v)  # checks the length first
     return graph.degrees * v - w

@@ -24,6 +24,7 @@ from .graphs import GraphSpec, laplacian_apply, quadratic_form
 
 MAX_ITER = 100_000  # iteration cap of one descent
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+STOP_GRAD_INF = 1e-9  # Riemannian gradient sup norm at which a descent stops and converged holds
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class SolveReport:
     backtracks: int  # step halvings summed over every line search
 
 
-def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
+def solve_qcqp(problem: QcqpProblem) -> SolveReport:
     """Projected Riemannian gradient descent with Armijo backtracking.
 
     Step rule.  Gershgorin bounds the Laplacian by ||L|| <= 2*Delta (Delta
@@ -107,9 +108,11 @@ def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
     g, y the change in the Riemannian gradient), floored at eta_safe.
     Backtracking halves the step until the Armijo sufficient decrease
     holds, so the objective is monotone.  One descent runs, started at z
-    itself (the lam = 0 minimizer).  It seeks a first-order critical point;
-    whether that point is the global minimizer is for the certificate in
-    modrec.certificate to decide.  Non-convergence is reported, never raised.
+    itself (the lam = 0 minimizer), until the gradient sup norm is at most
+    STOP_GRAD_INF or MAX_ITER steps are taken.  It seeks a first-order
+    critical point; whether that point is the global minimizer is for the
+    certificate in modrec.certificate to decide.  Non-convergence is
+    reported, never raised.
     """
     g = problem.z.copy()
     fg = objective(problem, g)
@@ -125,7 +128,7 @@ def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
     it = backtracks = 0
     grad = riemannian_grad(problem, g)
     gn = float(np.max(np.abs(grad)))
-    while gn > tol and it < MAX_ITER:
+    while gn > STOP_GRAD_INF and it < MAX_ITER:
         gsq = float(np.sum(np.abs(grad) ** 2))
         eta = eta_first
         g_new = f_new = None
@@ -150,7 +153,7 @@ def solve_qcqp(problem: QcqpProblem, tol: float = 1e-9) -> SolveReport:
         gn = float(np.max(np.abs(grad)))
     g.setflags(write=False)
     return SolveReport(
-        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=gn <= tol,
+        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=gn <= STOP_GRAD_INF,
         backtracks=backtracks,
     )
 

@@ -104,11 +104,12 @@ def adjacency_apply_edgewise(graph, g):
 def relabelled_path(z, seed: int):
     """The path on len(z) nodes with its vertices relabelled by a random
     permutation perm, z carried along, and perm: the same problem as z on
-    path_graph, with solution moved[perm].  The graph is not
-    GraphSpec._is_path, so the relaxations run conjugate gradients on it."""
+    path_graph, with solution moved[perm].  The graph carries no
+    GraphSpec._path_eigenbasis, so the relaxations run conjugate gradients
+    on it."""
     perm = np.random.default_rng(seed).permutation(z.size)
     graph = GraphSpec(n=z.size, edges=np.stack([perm[:-1], perm[1:]], axis=1))
-    assert not graph._is_path
+    assert graph._path_eigenbasis is None
     moved = np.empty_like(z)
     moved[perm] = z
     return graph, moved, perm

@@ -390,7 +390,7 @@ def test_criterion_10_baseline_correctness():
         z = np.exp(1j * rng.uniform(0, TWO_PI, n))
         u = mr.solve_ucqp(z, graph, lam)
         ok &= u.residual_inf <= 1e-10 * float(np.max(np.abs(z)))
-        t = mr.solve_trs(z, graph, lam, bisect_tol=1e-11)
+        t = mr.solve_trs(z, graph, lam)
         ok &= abs(t.norm_sq - n) <= 1e-8
         ok &= t.stationarity_inf <= 1e-8
         details.append(f"n={n}: ucqp res {u.residual_inf:.1e}, trs |g|^2-n {abs(t.norm_sq - n):.1e}")

@@ -82,6 +82,22 @@ def test_trs_constant_signal():
     assert r.norm_sq == pytest.approx(6.0, abs=1e-8)
 
 
+def test_constant_signal_on_a_grid():
+    # L z = 0 for a constant z, so both relaxations return it, TRS at
+    # mu = |mean(z)| = 1.  Here z - mean(z) is exactly 0, so each CG solve of
+    # TRS has a zero right-hand side and returns before its first iteration.
+    graph = grid_graph(2, 3)
+    z = np.full(graph.n, np.exp(2j * np.pi * 0.1))
+    assert not np.any(z - np.mean(z))
+    u = solve_ucqp(z, graph, 1.0)
+    t = solve_trs(z, graph, 1.0)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(u.raw - z)) <= 4 * eps and np.max(np.abs(t.raw - z)) <= 4 * eps
+    assert t.mu == pytest.approx(1.0, abs=4 * eps) and t.cg_iterations == 0
+    x, iters = baselines.conjugate_gradient(lambda v: v, np.zeros(3, dtype=complex))
+    assert iters == 0 and not np.any(x)
+
+
 def test_trs_feasibility_and_stationarity():
     rng = np.random.default_rng(85)
     graph = path_graph(4)

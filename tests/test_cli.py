@@ -105,7 +105,8 @@ def test_usage_errors_exit_1(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "x"),
+        ("--lambda", "x"), ("--lambda", "1e400"),
+        ("--graph",), ("--graph", "knn-grid:1.5"), ("--graph", "path:1"),
         ("--lambda", "-1"), ("--lambda", "nan"), ("--lambda", "inf"),
         ("--graph", "ring"), ("--graph", "knn-grid:x"), ("--graph", "knn-grid:0"),
         ("--graph", "knn-grid:-1"),
@@ -205,7 +206,7 @@ def test_omitted_flags_take_the_library_defaults(tmp_path, capsys):
     assert code == 0 and f.read_bytes() == _field_bytes(lib / "f.gf", pipe.ftilde)
     assert out == _json({"k": k, "itoh_margin": pipe.unwrap.itoh_margin})
 
-    # Solver commands without --tol.
+    # The solver commands.
     z, graph, lam = circle_embed(data.noisy_mod.flat), path_graph(300), 0.05
     problem = QcqpProblem(z=z, graph=graph, lam=lam)
     rep = solve_qcqp(problem)
@@ -395,6 +396,9 @@ _REPORTS = {
         {"cells": [{"n": n, "method": "knn", "means": {"wrap_sup_denoised": float("nan")}}
                    for n in (16, 64, 256)]}
     ),
+    "two_cells": json.dumps(
+        {"cells": [{"n": n, "method": "knn", "means": {"wrap_sup_denoised": 0.1}} for n in (16, 64)]}
+    ),
 }
 
 
@@ -416,6 +420,11 @@ _REPORTS = {
         (("interp", "--in", "{mod1}", "--at", "0.5"), 2, "data error: fit expects a real field"),
         # The input does not exist: a data error (exit 2) would mean it was read first.
         (("interp", "--in", "{absent}", "--resample", "5"), 1, "usage error: --resample requires --out"),
+        (("rate", "--report", "{two_cells}"), 1, "usage error: report has fewer than 3 cells for that method"),
+        (("rate", "--ns", "10,100,1000"), 1, "usage error: provide --ns and --errors, or --report"),
+        (("rate", "--ns", "1,x", "--errors", "1,2"), 1, "usage error: expected comma-separated ints, got '1,x'"),
+        # The solvers stop at module constants: no flag sets a tolerance.
+        (("trs", "--in", "{absent}", "--tol", "1e-9"), 1, "usage error: unrecognized arguments: --tol 1e-9"),
     ],
 )
 def test_bad_inputs_exit_with_a_message_not_a_traceback(tmp_path, capsys, argv, code, prefix):

@@ -91,7 +91,13 @@ def test_non_finite_real_value_names_its_line(tmp_path, value):
     assert err.value.line == 4 and "not finite" in str(err.value)
 
 
-@pytest.mark.parametrize("header", ["d=1 m=3 kind=real seed=x", "d=1 m=1 kind=real", "d=0 m=3 kind=real"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        "d=1 m=3 kind=real seed=x", "d=1 m=1 kind=real", "d=0 m=3 kind=real",
+        "d=1 m=3 kind=real seed", "d=1 kind=real", "d=1 m=3 kind=int",
+    ],
+)
 def test_bad_header_values_name_line_1(tmp_path, header):
     p = tmp_path / "bad.gf"
     p.write_text(f"#GRIDFIELD v1 {header}\n1,0.5\n")
@@ -276,6 +282,11 @@ def test_elevation_reader(tmp_path):
     with pytest.raises(FormatError) as err:
         read_elevation(p)
     assert err.value.line == 2
+
+    p.write_text("1 2\n# terrain\n3 x\n")
+    with pytest.raises(FormatError) as err:
+        read_elevation(p)
+    assert err.value.line == 3 and "cannot parse row '3 x'" in str(err.value)
 
     p.write_text("1 2 3 4\n5 6 7 8\n9 10 11 12\n")
     mat = read_elevation(p, crop_square=True)

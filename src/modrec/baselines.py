@@ -17,8 +17,12 @@ Both systems are Hermitian positive definite.  On a path they are diagonal
 in the Laplacian's eigenbasis, the orthonormal DCT-II
 (graphs.PathEigenbasis): the unconstrained solve is one division between
 two transforms, and each secular evaluation is a sum over the transformed
-z, with no linear solve.  On every other graph they are solved by plain
-conjugate gradients (the graphs here are sparse neighborhoods).  Both
+z, with no linear solve.  On every other graph they are solved by
+conjugate gradients (the graphs here are sparse neighborhoods).  On a
+radius-1 grid_graph(d, m), d >= 2, CG is preconditioned by the same system
+on the grid's axis edges alone, which the separable DCT-II diagonalises
+(graphs.GridAxisEigenbasis), so its iteration count does not grow with m
+(_axis_preconditioner says why); other graphs run plain CG.  Both
 solvers compute their reported residual from the edge list
 (graphs.laplacian_apply), whichever way they solved.  Both methods
 return the solution projected entrywise onto the circle, alongside the raw
@@ -50,16 +54,25 @@ class NumericError(RuntimeError):
     """An inner iterative solve failed to reach its tolerance."""
 
 
-def conjugate_gradient(apply_A, b: np.ndarray, x0=None):
-    """CG for Hermitian positive definite systems to the relative residual
-    CG_TOL; returns (x, iters).
+def conjugate_gradient(apply_A, b: np.ndarray, x0=None, precondition=None):
+    """Preconditioned CG for Hermitian positive definite systems; returns
+    (x, iters).
 
-    The iteration cap is 10 * max(b.size, 50)."""
+    precondition applies M^{-1} for a Hermitian positive definite M, or the
+    pseudo-inverse M^+ of a semidefinite M whose null space A shares; it is
+    the identity if None.  The iteration stops once the residual r = b - A x,
+    updated as the iterates are, has ||r|| <= CG_TOL * ||b||, whatever M is;
+    the cap is 10 * max(b.size, 50) iterations.  With M = I the floats are
+    those of plain CG."""
     b = np.asarray(b, dtype=complex)
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).copy()
+    if precondition is None:
+        precondition = _identity
     r = b - apply_A(x)
-    p = r.copy()
+    s = precondition(r)
+    p = s.copy()
     rs = float(np.real(np.vdot(r, r)))
+    rz = float(np.real(np.vdot(r, s)))
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0
@@ -68,12 +81,14 @@ def conjugate_gradient(apply_A, b: np.ndarray, x0=None):
         if np.sqrt(rs) <= CG_TOL * b_norm:
             return x, it - 1
         Ap = apply_A(p)
-        alpha = rs / float(np.real(np.vdot(p, Ap)))
+        alpha = rz / float(np.real(np.vdot(p, Ap)))
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(np.real(np.vdot(r, r)))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        s = precondition(r)
+        rs = float(np.real(np.vdot(r, r)))
+        rz_new = float(np.real(np.vdot(r, s)))
+        p = s + (rz_new / rz) * p
+        rz = rz_new
     if np.sqrt(rs) <= CG_TOL * b_norm:
         return x, max_iter
     raise NumericError(
@@ -81,12 +96,44 @@ def conjugate_gradient(apply_A, b: np.ndarray, x0=None):
     )
 
 
+def _identity(v):
+    return v
+
+
+def _axis_preconditioner(graph: GraphSpec, lam: float, mu: float):
+    """M^+ for M = lam*L_axis + mu*I on a radius-1 grid_graph(d, m), d >= 2;
+    None (M = I) on any other graph.
+
+    L_axis is the Laplacian of the grid's axis edges, diagonal in
+    graphs.GridAxisEigenbasis, so M^+ is one transform each way and one
+    product with 1 / (lam * Lambda_k + mu); at mu = 0 the constant mode,
+    where that is 1/0, maps to 0, so M^+ shares the null space span(1) of
+    L.  Why CG then takes a number of iterations that does not grow with m
+    (support theory: Boman and Hendrickson, SIAM J. Matrix Anal. Appl.,
+    2003): the axis edges are a subgraph, so L_axis <= L.  Every other edge
+    joins multi-indices that differ by 1 in s <= d coordinates; route it
+    along s axis edges, one coordinate at a time in axis order.  By
+    Cauchy-Schwarz its Laplacian is at most s times that of its route, and
+    each axis edge lies on the routes of a number of edges bounded in
+    terms of d alone, so L <= c_d L_axis with c_d free of m (c_2 = 5 will
+    do: a route has 2 edges and an axis edge lies on at most 2 routes).  Hence
+    M <= lam*L + mu*I <= c_d M, the preconditioned system has condition
+    number at most c_d, and CG gains a fixed factor per iteration.
+    """
+    basis = graph._axis_eigenbasis
+    if basis is None:
+        return None
+    scale = lam * basis.eigenvalues + mu
+    inverse_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return lambda v: basis.inverse(basis.forward(v) * inverse_scale)
+
+
 @dataclass(frozen=True)
 class UcqpResult:
     signal: np.ndarray
     raw: np.ndarray
     residual_inf: float
-    iterations: int  # CG iterations; 0 on a path
+    iterations: int  # CG iterations, preconditioned on a radius-1 grid; 0 on a path
 
 
 def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float) -> UcqpResult:
@@ -94,7 +141,7 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float) -> UcqpResult:
 
     On a path g is transformed back from z_k / (1 + lam Lambda_k) in the
     eigenbasis, directly, and iterations is 0.  Other graphs run conjugate
-    gradients.
+    gradients, preconditioned on a radius-1 grid by I + lam*L_axis.
     lam = 0 is the identity system: z itself is returned, exactly.
     """
     z = QcqpProblem(z, graph, lam).z
@@ -106,7 +153,7 @@ def solve_ucqp(z: np.ndarray, graph: GraphSpec, lam: float) -> UcqpResult:
 
     basis = graph._path_eigenbasis
     if basis is None:
-        raw, iters = conjugate_gradient(apply_A, z)
+        raw, iters = conjugate_gradient(apply_A, z, precondition=_axis_preconditioner(graph, lam, 1.0))
     else:
         raw, iters = basis.inverse(basis.forward(z) / (1.0 + lam * basis.eigenvalues)), 0
     residual = float(np.max(np.abs(apply_A(raw) - z)))
@@ -126,7 +173,9 @@ class TrsResult:
     norm_sq: float
     stationarity_inf: float
     bisect_iterations: int  # secular evaluations (root-search steps) after the first
-    cg_iterations: int  # CG iterations of every inner solve, hard-case check included; 0 on a path
+    # CG iterations of every inner solve, hard-case check included; preconditioned
+    # on a radius-1 grid; 0 on a path
+    cg_iterations: int
 
 
 def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
@@ -148,7 +197,8 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
     secular evaluation is ||g||^2 = sum_k |w_k|^2 / (lam Lambda_k + mu)^2
     + n |c|^2 / mu^2 over the coefficients, and g takes one inverse
     transform at the end, so cg_iterations is 0.  On other graphs each
-    secular evaluation is one CG solve, warm started from the previous one.
+    secular evaluation is one CG solve, warm started from the previous one
+    and, on a radius-1 grid, preconditioned by lam*L_axis + mu*I.
     Each evaluation replaces the end of the bracket on its side of the
     root.  The next mu is the regula falsi point: the zero of the secant of
     psi between the two ends.  Illinois rule: when an
@@ -208,7 +258,7 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
             def apply_A(v):
                 return lam * laplacian_apply(graph, v) + mu * v
 
-            x, iters = conjugate_gradient(apply_A, w, x0=x0)
+            x, iters = conjugate_gradient(apply_A, w, x0=x0, precondition=_axis_preconditioner(graph, lam, mu))
             cg_iters += iters
             return x - np.mean(x)
 

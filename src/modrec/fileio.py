@@ -287,18 +287,21 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else None  # JSON has no NaN or infinity
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
 
 
 def report_to_json(report: dict) -> str:
-    """Canonical JSON used by write_report; sorted keys, two-space indent."""
+    """Canonical JSON used by write_report; sorted keys, two-space indent.
+    A non-finite float, such as the NaN mean of an mc cell whose trials all
+    failed, is written as null."""
     payload = {"schema_version": 1}
     payload.update(_jsonable(report))
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(path, report: dict) -> None:

@@ -9,7 +9,9 @@ apply is one scatter over both edge directions, which sums each vertex's
 neighbours in one fixed order: +0, then the neighbours j > i ascending,
 then the neighbours j < i ascending, so its floats are bit-identical to a
 sum edge by edge.  A path carries the eigenbasis of its Laplacian
-(PathEigenbasis), in which the relaxations of baselines solve directly.
+(PathEigenbasis), in which the relaxations of baselines solve directly; a
+radius-1 grid in d >= 2 carries that of its axis edges' Laplacian
+(GridAxisEigenbasis), which preconditions their conjugate gradients.
 Dense W and L are available for small n: the dense lift of the certificate
 and the tests use them, while the tightness verdict builds its matrix from
 the edge list.
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+
+from .grid import floor_root
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +73,23 @@ class GraphSpec:
         return PathEigenbasis(self.n) if np.all(ej - ei == 1) else None
 
     @cached_property
+    def _axis_eigenbasis(self) -> GridAxisEigenbasis | None:
+        """The eigenbasis of the Laplacian of the axis edges if the graph is
+        grid_graph(d, m) of radius 1 with d >= 2, else None."""
+        # Each m^d = n with m >= 2 is tried.  Edges are distinct, so if every
+        # one joins multi-indices at Chebyshev distance 1 and there are as
+        # many as such pairs, ((3m - 2)^d - m^d) / 2, they are all of them.
+        ei, ej = self._edge_arrays
+        for d in range(2, self.n.bit_length()):
+            m = floor_root(self.n, d)
+            if m ** d != self.n or 2 * len(ei) != (3 * m - 2) ** d - self.n:
+                continue
+            offsets = np.abs(np.array(np.unravel_index(ej, (m,) * d)) - np.unravel_index(ei, (m,) * d))
+            if np.all(offsets <= 1):
+                return GridAxisEigenbasis(d, m)
+        return None
+
+    @cached_property
     def _scatter(self):
         """(targets, sources) of the one scatter in adjacency_apply: each edge
         (i, j) as i <- j, then each as j <- i, in edge order."""
@@ -105,7 +126,8 @@ class PathEigenbasis:
     data: the FFT of v followed by its mirror image is
     2 exp(i pi k / 2n) (V^T v)_k / s_k, and the inverse FFT of the
     coefficients, twiddled and mirrored the same way, is V c.  numpy.fft is
-    reached at call time, so no module loads it until a path is solved.
+    reached at call time, so no module loads it until a path is solved or a
+    grid preconditioned.
     """
 
     def __init__(self, n: int):
@@ -123,10 +145,51 @@ class PathEigenbasis:
         self._inverse_twiddle = np.concatenate([2.0 * up[:1], up[1:], [0.0], self._forward_twiddle[:0:-1]])
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        return self._forward_twiddle * np.fft.fft(np.concatenate([v, v[::-1]]))[: self.n]
+        """V^T v, along the last axis."""
+        return self._forward_twiddle * np.fft.fft(np.concatenate([v, v[..., ::-1]], axis=-1))[..., : self.n]
 
     def inverse(self, c: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self._inverse_twiddle * c[self._mirror], norm="forward")[: self.n]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """V, real: row j is forward(e_j) = V^T e_j."""
+        return np.ascontiguousarray(self.forward(np.eye(self.n)).real)
+
+
+class GridAxisEigenbasis:
+    """Eigenbasis of the Laplacian L_axis of the axis edges of the m^d grid,
+    the edges that join multi-indices one apart along one axis.
+
+    L_axis is the Kronecker sum of d path Laplacians, so its eigenvectors
+    are the tensor products of PathEigenbasis(m) vectors, one per axis, and
+    its eigenvalues the sums of theirs; both are indexed by the
+    lexicographic rank of the multi-index (k_1, ..., k_d).
+    forward(v) applies V^T along every axis and inverse(c) applies V: each
+    axis in turn is the leading one, a real m x m matrix multiplies the
+    real and imaginary parts of all its columns at once, and the result is
+    transposed so that the next axis leads, d times in all.
+    """
+
+    def __init__(self, d: int, m: int):
+        path = PathEigenbasis(m)
+        self.d, self.m = d, m
+        self.eigenvalues = reduce(np.add.outer, [path.eigenvalues] * d).reshape(-1)
+        self.eigenvalues.setflags(write=False)
+        self._inverse_matrix = path.matrix
+        self._forward_matrix = np.ascontiguousarray(self._inverse_matrix.T)
+
+    def _along_every_axis(self, T: np.ndarray, v: np.ndarray) -> np.ndarray:
+        x = np.asarray(v, dtype=complex)
+        for _ in range(self.d):
+            x = (T @ np.ascontiguousarray(x).reshape(self.m, -1).view(float)).view(complex).T
+        return np.ascontiguousarray(x).reshape(-1)
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        return self._along_every_axis(self._forward_matrix, v)
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        return self._along_every_axis(self._inverse_matrix, c)
 
 
 def _connected(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:

@@ -5,7 +5,7 @@ from conftest import relabelled_path, trs_dense
 from modrec import baselines
 from modrec.baselines import HardCaseError, lambda_schedule, solve_trs, solve_ucqp
 from modrec.circle import circle_embed
-from modrec.graphs import grid_graph, path_graph, quadratic_form
+from modrec.graphs import GraphSpec, grid_graph, path_graph, quadratic_form
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import QcqpProblem, objective, solve_qcqp
 
@@ -135,14 +135,14 @@ def _alternating(shape):
     return graph, np.where(parity == 0, 1.0, -1.0).astype(complex)
 
 
-# Secular evaluations and CG iterations that bisection on the secular
-# equation took on each near-hard input: the root search may not take more.
-# Paths solve in their eigenbasis, with no CG at all.
+# Secular evaluations and CG iterations that the root search took on each
+# near-hard input: it may not take more.  Paths solve in their eigenbasis,
+# with no CG at all; grids precondition CG with their axis edges.
 NEAR_HARD_CEILINGS = {
     ((64,), 50.0): (60, 0),
     ((256,), 100.0): (60, 0),
-    ((8, 8), 50.0): (59, 294),
-    ((16, 16), 20.0): (60, 642),
+    ((8, 8), 50.0): (59, 221),
+    ((16, 16), 20.0): (60, 293),
 }
 
 
@@ -177,6 +177,64 @@ def test_trs_zero_constant_component():
     assert r.bisect_iterations + 1 <= 8
     with pytest.raises(HardCaseError):
         solve_trs(z, graph, 2.0)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16)])
+def test_trs_zero_constant_component_on_a_grid(shape):
+    # The checkerboard has mean exactly 0, so the hard-case check solves at
+    # mu = 0, where the axis-edge preconditioner is singular like L itself.
+    graph, z = _alternating(shape)
+    assert np.sum(z) == 0.0
+    for lam in (0.01, 0.05):
+        r = solve_trs(z, graph, lam)
+        assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n
+        assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9
+    with pytest.raises(HardCaseError):
+        solve_trs(z, graph, 2.0)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_grid_cg_iterations_do_not_grow_with_m(m):
+    # Plain CG took 60, 116 and 217 UCQP iterations here, and 51, 101 and
+    # 190 per TRS secular evaluation.  Preconditioned by the axis edges,
+    # the condition number has a bound free of m (_axis_preconditioner):
+    # 21-22 and 16.
+    data = generate(SyntheticSpec(function=PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), d=2, m=m, sigma=0.12, seed=0))
+    z = circle_embed(data.noisy_mod.flat)
+    graph, lam = grid_graph(2, m), lambda_schedule(0.04, m * m)
+    assert solve_ucqp(z, graph, lam).iterations <= 30
+    r = solve_trs(z, graph, lam)
+    assert r.cg_iterations <= 30 * (r.bisect_iterations + 1)
+
+
+@pytest.mark.parametrize("d, m, mu", [(2, 5, 0.3), (3, 5, 2.0), (2, 5, 0.0)])
+def test_axis_preconditioner_inverts_the_axis_edge_system(d, m, mu):
+    # Oracle: the dense lam*L_axis + mu*I of the grid's axis edges, those
+    # joining multi-indices at distance 1 along one axis.  At mu = 0 it is
+    # singular with null space span(1), and the preconditioner is its
+    # pseudo-inverse.
+    graph, lam = grid_graph(d, m), 0.7
+    coords = np.array(np.unravel_index(graph.edges, (m,) * d))
+    axis_edges = graph.edges[np.abs(coords[:, :, 1] - coords[:, :, 0]).sum(axis=0) == 1]
+    M = lam * GraphSpec(n=graph.n, edges=axis_edges).laplacian() + mu * np.eye(graph.n)
+    precondition = baselines._axis_preconditioner(graph, lam, mu)
+    got = np.array([precondition(e) for e in np.eye(graph.n, dtype=complex)]).T
+    assert np.max(np.abs(got - np.linalg.pinv(M))) <= 1e-13
+
+
+def test_only_radius_1_grids_carry_the_axis_eigenbasis():
+    for d, m in ((2, 2), (2, 7), (3, 3), (3, 4)):
+        grid = grid_graph(d, m)
+        basis = grid._axis_eigenbasis
+        assert (basis.d, basis.m) == (d, m)
+        reordered = GraphSpec(n=grid.n, edges=grid.edges[::-1, ::-1])
+        assert reordered._axis_eigenbasis is not None
+        if m > 2:  # the 2^d grid is complete: every relabelling is itself
+            perm = np.random.default_rng(m).permutation(grid.n)
+            assert GraphSpec(n=grid.n, edges=perm[grid.edges])._axis_eigenbasis is None
+    for graph in (path_graph(9), grid_graph(1, 9, radius=2), grid_graph(2, 4, radius=2), grid_graph(3, 3, radius=2)):
+        assert graph._axis_eigenbasis is None
+        assert baselines._axis_preconditioner(graph, 1.0, 1.0) is None
 
 
 def test_trs_matches_dense_oracle_sweep():

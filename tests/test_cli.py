@@ -277,11 +277,20 @@ def test_failed_trials_are_counted_and_their_nan_means_are_a_data_error(tmp_path
         assert not np.isnan(list(knn.means.values())).any()
         assert np.isnan([*trs.means.values(), *trs.stds.values()]).all()
     report = tmp_path / "mc.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "mc", "--n-sweep", "16,25,36", "--trials", "2", "--methods", "knn,trs",
         "--out", str(report),
     )
     assert code == 0 and report.read_text() == report_to_json(summary.to_report())
+
+    def no_constants(token):  # NaN and Infinity are not JSON
+        raise ValueError(f"{token} in a report")
+
+    for text in (report.read_text(), out):
+        cells = json.loads(text, parse_constant=no_constants)["cells"]
+        trs_cells = [cell for cell in cells if cell["method"] == "trs"]
+        assert len(trs_cells) == 3
+        assert all(value is None for cell in trs_cells for value in (*cell["means"].values(), *cell["stds"].values()))
     code, out, err = run(capsys, "rate", "--report", str(report), "--method", "trs")
     assert code == 2 and not out and err.startswith("data error: errors must be finite")
     code, _, _ = run(capsys, "rate", "--report", str(report), "--method", "knn")

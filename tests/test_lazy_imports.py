@@ -1,9 +1,10 @@
-"""Importing the package loads nothing that only a path solve needs.
+"""Importing the package loads nothing that only a path or grid solve needs.
 
 numpy loads numpy.fft lazily (numpy >= 2), and the path eigenbasis of
 graphs.PathEigenbasis reaches it at call time, so a program that never
-solves a relaxation on a path never loads it.  The check runs in a fresh
-interpreter: the test process has imported far more than the package.
+solves a relaxation on a path or a radius-1 grid never loads it.  The check
+runs in a fresh interpreter: the test process has imported far more than
+the package.
 """
 
 import os

@@ -4,14 +4,20 @@ Both drop the per-entry unit-modulus constraint of the torus problem.  The
 unconstrained relaxation minimizes ||g - z||^2 + lam * g^* L g over all of C^n,
 i.e. solves (I + lam*L) g = z.  The sphere relaxation keeps only the aggregate
 constraint ||g||^2 = n, whose stationarity system is (lam*L + mu*I) g = z with
-a positive multiplier mu fixed by the norm constraint.  With
-g(mu) = (lam*L + mu*I)^{-1} z, mu is the root of
-psi(mu) = 1/||g(mu)|| - 1/sqrt(n), which is increasing, concave and close to
-linear in mu (More and Sorensen, "Computing a trust region step", 1983); a
-safeguarded secant search (regula falsi with the Illinois rule) finds it.
-The graph is connected, so the null space of L is span(1): the constant mode
-mean(z)/mu of the solution is exact, and the root is bracketed in closed
-form by [|mean(z)|, ||z||/sqrt(n)].
+a positive multiplier mu fixed by the norm constraint.  The graph is
+connected, so the null space of L is span(1), and with c = mean(z) the
+solution g(mu) = (lam*L + mu*I)^{-1} z splits into the constant mode c/mu,
+exact, and the centred solve x(mu) = (lam*L + mu*I)^{-1} (z - c): mu is the
+root of the secular equation ||g(mu)||^2 = n|c|^2/mu^2 + phi(mu) = n, with
+phi(mu) = ||x(mu)||^2 decreasing.  The root is bracketed in closed form by
+[|c|, ||z||/sqrt(n)].  On smooth data the constant mode carries most of
+||g||^2, so the root search models the secular equation by that mode, as
+More and Sorensen ("Computing a trust region step", 1983) model it by its
+dominant mode; here the mode is known in closed form, and only phi is
+modelled, from the last one or two evaluations.  Each model root is only a
+step target inside the bracket, whose ends move on the sign of an evaluated
+norm defect alone; solve_trs gives the model, a proof that its first step
+is a lower bound of the root, and why the search terminates.
 
 Both systems are Hermitian positive definite.  On a path they are diagonal
 in the Laplacian's eigenbasis, the orthonormal DCT-II
@@ -34,6 +40,7 @@ validated by QcqpProblem, the torus problem that both methods relax.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,43 +179,57 @@ class TrsResult:
     mu: float
     norm_sq: float
     stationarity_inf: float
-    bisect_iterations: int  # secular evaluations (root-search steps) after the first
+    # secular evaluations after the first, each a model step of the root search
+    # (the hard-case check at mu = 0 not counted)
+    bisect_iterations: int
     # CG iterations of every inner solve, hard-case check included; preconditioned
     # on a radius-1 grid; 0 on a path
     cg_iterations: int
 
 
 def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
-    """Sphere-constrained smoothing via a secant search on the secular equation.
+    """Sphere-constrained smoothing via a model search on the secular equation.
 
     Finds mu > 0 with ||g||^2 = n for g = (lam*L + mu*I)^{-1} z.  L has null
     space span(1) (the graph is connected), so the constant part c = mean(z)
-    of z maps exactly to c/mu, and only z - c is solved for, with its
+    of z maps exactly to c/mu, and only w = z - c is solved for, with its
     constant part held at 0: on a path its constant DCT coefficient is set
     to exactly 0, and elsewhere each CG solution is re-centred to mean 0, so
-    that rounding drift along 1 cannot build up.  The root lies in
-    [|c|, ||z||/sqrt(n)]: at |c| the constant part alone has norm^2 n, and
-    ||g|| <= ||z||/mu.  |c| <= n*eps (the rounding of a sum of n unit
-    entries) counts as c = 0; then psi(0+) comes from g = (lam*L)^+ (z - c),
-    and HardCaseError is raised when ||g||^2 <= n there.
+    that rounding drift along 1 cannot build up.  So ||g(mu)||^2 =
+    n|c|^2/mu^2 + phi(mu), with phi(mu) the squared norm of the centred
+    solve, decreasing in mu.  The root lies in [|c|, ||z||/sqrt(n)]: at |c|
+    the constant part alone has norm^2 n, and ||g|| <= ||z||/mu.  |c| <=
+    n*eps (the rounding of a sum of n unit entries) counts as c = 0; then
+    phi(0) comes from g = (lam*L)^+ (z - c), and HardCaseError is raised
+    when phi(0) <= n.
+
+    On a path, w is transformed once, each secular evaluation of phi is a
+    sum over the coefficients, phi(mu) = sum_k |w_k|^2 / (lam Lambda_k +
+    mu)^2, and g takes one inverse transform at the end, so cg_iterations
+    is 0.  On other graphs each evaluation is one CG solve, warm started
+    from the previous one and, on a radius-1 grid, preconditioned by
+    lam*L_axis + mu*I.
 
     The search starts at the upper end and stops once the norm defect is
-    within SECULAR_TOL * n.  On a path, w = z - c is transformed once, each
-    secular evaluation is ||g||^2 = sum_k |w_k|^2 / (lam Lambda_k + mu)^2
-    + n |c|^2 / mu^2 over the coefficients, and g takes one inverse
-    transform at the end, so cg_iterations is 0.  On other graphs each
-    secular evaluation is one CG solve, warm started from the previous one
-    and, on a radius-1 grid, preconditioned by lam*L_axis + mu*I.
-    Each evaluation replaces the end of the bracket on its side of the
-    root.  The next mu is the regula falsi point: the zero of the secant of
-    psi between the two ends.  Illinois rule: when an
-    evaluation moves the same end as the one before it, the psi kept for
-    the other end is halved, so that end moves too.  The next mu is the
-    midpoint instead while psi is known at one end only, or when the
-    secant point is not strictly inside the bracket.  So the search
+    within SECULAR_TOL * n.  Each evaluation replaces the end of the bracket
+    on its side of the root, by the sign of ||g||^2 - n.  The next mu is the
+    root of a model that keeps the constant mode exact and models phi
+    (_model_root):
+    - After the one evaluation at the upper end mu_0, phi is taken as the
+      constant phi(mu_0): mu = |c| sqrt(n / (n - phi(mu_0))).  This is a
+      lower bound of the root mu*: mu_0 > mu* and phi decreases, so
+      phi(mu*) >= phi(mu_0), and mu*^2 = n|c|^2 / (n - phi(mu*)) >=
+      n|c|^2 / (n - phi(mu_0)).
+    - After two or more evaluations, 1/sqrt(phi) is taken as the secant
+      through the last two (with c = 0, the first is the hard-case check at
+      mu = 0, and the step is the secant zero of psi = 1/||g||).
+    The model root is a step target only.  When it is not strictly inside
+    (lo, hi), the next mu is the midpoint instead.  So the search
     terminates: every step is a float strictly inside (lo, hi) that becomes
     one of its ends, the bracket holds fewer floats after each step, and a
-    midpoint equal to an endpoint raises NumericError.
+    midpoint equal to an endpoint raises NumericError.  And since the ends
+    move on evaluated signs alone, rounding in the model cannot cut the
+    root out of the bracket.
 
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
@@ -230,6 +251,7 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
     w = z - c
     if abs(c) <= n * np.finfo(float).eps:
         c = 0.0
+    constant_sq = n * abs(c) ** 2  # mu^2 times the constant mode's share of ||g||^2
     basis = graph._path_eigenbasis
     cg_iters = 0
     if basis is not None:
@@ -238,77 +260,52 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
         w_hat[0] = 0.0
         stiffness = lam * basis.eigenvalues
         power = np.abs(w_hat) ** 2
-        constant_sq = n * abs(c) ** 2
 
         def centred_norm_sq(mu):
             return float(np.sum(power[1:] / (stiffness[1:] + mu) ** 2))  # w_0 = 0
-
-        def norm_sq_at(mu):
-            return centred_norm_sq(mu) + constant_sq / mu**2
 
         def solution(mu):
             return basis.inverse(w_hat / (stiffness + mu)) + c / mu
 
     else:
-        x = g = None  # the last solve, which warm-starts the next
+        x = None  # the last solve, which warm-starts the next
 
-        def centred_solve(mu, x0=None):
-            nonlocal cg_iters
+        def centred_norm_sq(mu):
+            nonlocal x, cg_iters
 
             def apply_A(v):
                 return lam * laplacian_apply(graph, v) + mu * v
 
-            x, iters = conjugate_gradient(apply_A, w, x0=x0, precondition=_axis_preconditioner(graph, lam, mu))
+            x, iters = conjugate_gradient(apply_A, w, x0=x, precondition=_axis_preconditioner(graph, lam, mu))
             cg_iters += iters
-            return x - np.mean(x)
-
-        def centred_norm_sq(mu):
-            y = centred_solve(mu)  # not warm-started: only the hard-case check calls it
-            return float(np.real(np.vdot(y, y)))
-
-        def norm_sq_at(mu):
-            nonlocal x, g
-            x = centred_solve(mu, x0=x)
-            g = x + c / mu
-            return float(np.real(np.vdot(g, g)))
+            x = x - np.mean(x)
+            return float(np.real(np.vdot(x, x)))
 
         def solution(mu):
-            return g  # of the last evaluation, which is at mu
-
-    def psi(norm_sq):
-        # sqrt(n) * (1/||g|| - 1/sqrt(n)), written without cancellation so
-        # that its sign is the sign of n - ||g||^2.
-        return float((n - norm_sq) / (np.sqrt(norm_sq) * (np.sqrt(n) + np.sqrt(norm_sq))))
+            return x + c / mu  # x of the last evaluation, which is at mu
 
     lo, hi = abs(c), float(np.linalg.norm(z) / np.sqrt(n))
-    psi_lo = psi_hi = None  # psi at the ends of the bracket, once evaluated there
+    points = []  # (mu, phi(mu)) of the last two evaluations
     if c == 0.0:
-        norm_sq = centred_norm_sq(0.0)
-        if norm_sq <= n:
+        phi = centred_norm_sq(0.0)
+        if phi <= n:
             raise HardCaseError("no positive multiplier: mean(z) = 0 and ||(lam L)^+ z||^2 <= n")
-        psi_lo = psi(norm_sq)
+        points.append((0.0, phi))
 
-    mu, iters, side = hi, 0, 0
+    mu, iters = hi, 0
     while True:
-        norm_sq = norm_sq_at(mu)
+        phi = centred_norm_sq(mu)
+        norm_sq = phi + constant_sq / mu**2
         if abs(norm_sq - n) <= SECULAR_TOL * n:
             break
-        # Illinois rule (see the docstring); side is the end moved last.
         if norm_sq > n:
-            lo, psi_lo = mu, psi(norm_sq)
-            if side < 0 and psi_hi is not None:
-                psi_hi *= 0.5
-            side = -1
+            lo = mu
         else:
-            hi, psi_hi = mu, psi(norm_sq)
-            if side > 0 and psi_lo is not None:
-                psi_lo *= 0.5
-            side = 1
-        mu = 0.5 * (lo + hi)
-        if psi_lo is not None and psi_hi is not None:
-            secant = hi - psi_hi * (hi - lo) / (psi_hi - psi_lo)
-            if lo < secant < hi:
-                mu = secant
+            hi = mu
+        points = points[-1:] + [(mu, phi)]
+        mu = _model_root(points, constant_sq, n, lo, hi)
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
         if not lo < mu < hi:
             raise NumericError(f"secular root search stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
         iters += 1
@@ -324,6 +321,48 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
         bisect_iterations=iters,
         cg_iterations=cg_iters,
     )
+
+
+def _model_root(points, constant_sq: float, n: int, lo: float, hi: float) -> float:
+    """Root of the secular model n = constant_sq / mu^2 + phi_model(mu) that
+    solve_trs steps to, from its last one or two evaluations (mu, phi(mu)).
+
+    One point, phi < n: phi_model is constant, and the root is closed form.
+    Two points: 1/sqrt(phi_model) is the line l(mu) = a + s*mu through them.
+    The model is then the squared norm of a two-mode secular problem with
+    poles at mu = 0 and l = 0, so 1/sqrt of it is concave and increasing
+    where mu > 0 and l > 0 (More and Sorensen).  Newton's method on that
+    1/sqrt, started at lo, therefore rises monotonically to the model root
+    while the model norm exceeds n; it stops there, or once a step no longer
+    rises inside (lo, hi), and returns where it stopped (lo itself when the
+    model root is not above lo).  Newton on 1/sqrt rather than on the norm
+    is exact for one mode: with constant_sq = 0 one step lands on the root
+    of the line.  Every phi is positive: with z - c = 0 the search ends at
+    its first evaluation.
+    """
+    if len(points) == 1:
+        ((_, phi),) = points
+        return math.sqrt(constant_sq / (n - phi))
+    (mu_1, phi_1), (mu_2, phi_2) = points
+    slope = (phi_2**-0.5 - phi_1**-0.5) / (mu_2 - mu_1)
+    offset = phi_1**-0.5 - slope * mu_1
+    root_n = math.sqrt(n)
+    mu = lo
+    while True:
+        ell = offset + slope * mu
+        if not ell > 0.0:
+            return mu
+        norm_sq, decline = ell**-2, slope * ell**-3  # decline = -(d/dmu norm_sq) / 2
+        if constant_sq:
+            norm_sq += constant_sq / mu**2
+            decline += constant_sq / mu**3
+        if not (decline > 0.0 and norm_sq > n):
+            return mu
+        # Newton step on 1/sqrt(norm_sq) - 1/sqrt(n), written without cancellation
+        step = (norm_sq - n) * norm_sq / (root_n * (math.sqrt(norm_sq) + root_n) * decline)
+        if not mu < mu + step < hi:
+            return mu + step
+        mu += step
 
 
 def lambda_schedule(kappa: float, n: int) -> float:

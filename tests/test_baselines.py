@@ -135,14 +135,17 @@ def _alternating(shape):
     return graph, np.where(parity == 0, 1.0, -1.0).astype(complex)
 
 
-# Secular evaluations and CG iterations that the root search took on each
-# near-hard input: it may not take more.  Paths solve in their eigenbasis,
-# with no CG at all; grids precondition CG with their axis edges.
+# Ceilings on the secular evaluations and CG iterations of the root search on
+# each near-hard input.  The secant search between the bracket ends, halving
+# down from the upper end, took 37-46 evaluations here.  The model step,
+# exact in the constant mode that carries almost the whole solution, takes
+# 3-4 (21 and 34 CG iterations on the grids).  Paths solve in their
+# eigenbasis, with no CG at all; grids precondition CG with their axis edges.
 NEAR_HARD_CEILINGS = {
-    ((64,), 50.0): (60, 0),
-    ((256,), 100.0): (60, 0),
-    ((8, 8), 50.0): (59, 221),
-    ((16, 16), 20.0): (60, 293),
+    ((64,), 50.0): (5, 0),
+    ((256,), 100.0): (5, 0),
+    ((8, 8), 50.0): (5, 30),
+    ((16, 16), 20.0): (5, 45),
 }
 
 
@@ -171,9 +174,11 @@ def test_trs_zero_constant_component():
     r = solve_trs(z, graph, 0.1)
     assert abs(r.norm_sq - 8.0) <= 1e-10 * 8
     assert np.max(np.abs(r.raw - trs_dense(graph, z, 0.1))) <= 1e-9
-    # psi is far from linear between mu = 0 and the upper end here: plain
-    # regula falsi keeps the lower end and takes 18 evaluations, the
-    # Illinois rule 7 (bisection took 35).
+    # With c = 0 the model step is the secant of psi = 1/||g|| through the
+    # last two evaluations, the first of them the hard-case check at mu = 0.
+    # psi is far from linear between mu = 0 and the upper end here, and the
+    # search takes 5 evaluations (plain regula falsi between the bracket
+    # ends took 18, with the Illinois rule 7, bisection 35).
     assert r.bisect_iterations + 1 <= 8
     with pytest.raises(HardCaseError):
         solve_trs(z, graph, 2.0)
@@ -198,13 +203,49 @@ def test_grid_cg_iterations_do_not_grow_with_m(m):
     # Plain CG took 60, 116 and 217 UCQP iterations here, and 51, 101 and
     # 190 per TRS secular evaluation.  Preconditioned by the axis edges,
     # the condition number has a bound free of m (_axis_preconditioner):
-    # 21-22 and 16.
+    # 21-22 and 16.  The secular evaluations do not grow with m either: the
+    # model step takes 5-6 where the secant search between the bracket ends
+    # took 10-11.
     data = generate(SyntheticSpec(function=PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), d=2, m=m, sigma=0.12, seed=0))
     z = circle_embed(data.noisy_mod.flat)
     graph, lam = grid_graph(2, m), lambda_schedule(0.04, m * m)
     assert solve_ucqp(z, graph, lam).iterations <= 30
     r = solve_trs(z, graph, lam)
+    assert r.bisect_iterations + 1 <= 6
     assert r.cg_iterations <= 30 * (r.bisect_iterations + 1)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_trs_few_secular_evaluations_in_3d(m):
+    # The secant search between the bracket ends took 18-20 evaluations on
+    # these fields, against 10-11 on the 2-D sweep grids; the model step
+    # takes 3.
+    function = PlantedFunction((0.3, 0.25, 0.2), (1, 1, 1), (0.4, 1.3, 0.7), 0.1)
+    graph, lam = grid_graph(3, m), lambda_schedule(0.04, m**3)
+    for seed in range(4):
+        data = generate(SyntheticSpec(function=function, d=3, m=m, sigma=0.12, seed=seed))
+        z = circle_embed(data.noisy_mod.flat)
+        r = solve_trs(z, graph, lam)
+        assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n
+        assert r.bisect_iterations + 1 <= 4, seed
+        if m == 8:
+            assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9, seed
+
+
+def test_trs_on_a_grid_without_axis_preconditioner():
+    # A radius-2 grid runs plain CG under the same root search: a random z
+    # (c != 0; the secant search between the bracket ends took 14
+    # evaluations, the model step 4) and the checkerboard (c = 0, whose
+    # first model point is the hard-case solve at mu = 0).
+    graph = grid_graph(2, 6, radius=2)
+    assert graph._axis_eigenbasis is None
+    rng = np.random.default_rng(5)
+    checkerboard = _alternating((6, 6))[1]
+    for z, lam, evaluations in ((_random_torus(rng, graph.n), 0.7, 5), (checkerboard, 0.02, 6)):
+        r = solve_trs(z, graph, lam)
+        assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n
+        assert r.cg_iterations > 0 and r.bisect_iterations + 1 <= evaluations
+        assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9
 
 
 @pytest.mark.parametrize("d, m, mu", [(2, 5, 0.3), (3, 5, 2.0), (2, 5, 0.0)])
@@ -239,7 +280,9 @@ def test_only_radius_1_grids_carry_the_axis_eigenbasis():
 
 def test_trs_matches_dense_oracle_sweep():
     # Paths of 3-100 nodes and 3x3-10x10 grids alternately, then the 1- and
-    # 2-node paths, lam in [0.05, 20].
+    # 2-node paths, lam in [0.05, 20].  The model step takes at most 8
+    # secular evaluations on each; the secant search between the bracket
+    # ends took up to 18.
     rng = np.random.default_rng(88)
     for k in range(62):
         if k >= 60:
@@ -251,15 +294,17 @@ def test_trs_matches_dense_oracle_sweep():
         r = solve_trs(z, graph, lam)
         assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n, k
         assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9, k
+        assert r.bisect_iterations + 1 <= 8, k
 
 
 @pytest.mark.parametrize(
     "function, d, m, max_evaluations",
-    [("example1", 1, 1024, 8), (PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), 2, 16, 15)],
+    [("example1", 1, 1024, 8), (PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), 2, 16, 6)],
 )
 def test_trs_few_secular_evaluations(function, d, m, max_evaluations):
     # Sweep-sized fields at sigma = 0.12 and the sweep's lambda schedule.
-    # Bisection took 34 (path) and 36 (grid) secular evaluations here.
+    # Bisection took 34 (path) and 36 (grid) secular evaluations here, the
+    # secant search between the bracket ends 11 on the grid.
     data = generate(SyntheticSpec(function=function, d=d, m=m, sigma=0.12, seed=0))
     z = np.exp(2j * np.pi * data.noisy_mod.flat)
     n = data.noisy_mod.grid.n

@@ -300,6 +300,8 @@ def test_trs_matches_dense_oracle_sweep():
 @pytest.mark.parametrize(
     "function, d, m, max_evaluations",
     [("example1", 1, 1024, 8), (PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1), 2, 16, 6)],
+    # The case ids keep the names they had when the grid's ceiling was 15.
+    ids=["example1-1-1024-8", "function1-2-16-15"],
 )
 def test_trs_few_secular_evaluations(function, d, m, max_evaluations):
     # Sweep-sized fields at sigma = 0.12 and the sweep's lambda schedule.

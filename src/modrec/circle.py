@@ -79,14 +79,18 @@ def circle_arg(u):
 
 
 def project_to_circle(w):
-    """Radial projection w/|w| onto the unit circle; exact zeros map to 1."""
+    """Radial projection w/|w| onto the unit circle; exact zeros map to 1.
+
+    Raises ValueError if the real or imaginary part of any entry is not
+    finite.
+    """
     arr = np.asarray(w, dtype=complex)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
         raise ValueError("w must be finite")
     mag = np.abs(arr)
-    safe = np.where(mag == 0.0, 1.0, mag)
-    out = np.where(mag == 0.0, 1.0 + 0.0j, arr / safe)
-    return complex(out) if np.ndim(w) == 0 else out
+    zero = mag == 0.0
+    out = np.where(zero, 1.0 + 0.0j, arr / np.where(zero, 1.0, mag))
+    return complex(out) if arr.ndim == 0 else out
 
 
 def chord_from_wrap(dw):

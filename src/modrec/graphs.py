@@ -258,7 +258,7 @@ def quadratic_form(graph: GraphSpec, g: np.ndarray) -> float:
     """g* L g as the edge sum of |g_i - g_j|^2 (always real)."""
     v = np.asarray(g)
     ei, ej = graph._edge_arrays
-    return float(np.sum(np.abs(v[ei] - v[ej]) ** 2))
+    return float((np.abs(v[ei] - v[ej]) ** 2).sum())
 
 
 def edge_smoothness(h: np.ndarray, graph: GraphSpec) -> float:

@@ -9,11 +9,11 @@ import pytest
 
 from modrec.certificate import dual_certificate, lift_matrix
 from modrec.fileio import FormatError, read_header
-from modrec.graphs import GraphSpec
+from modrec.graphs import GraphSpec, laplacian_apply
 from modrec.grid import GridField, UniformGrid, iter_lex
 from modrec.harness import PlantedFunction
 from modrec.linalg import hermitian_eig
-from modrec.qcqp import QcqpProblem, objective, riemannian_grad
+from modrec.qcqp import ARMIJO, MAX_ITER, STOP_GRAD_INF, QcqpProblem, SolveReport, objective, riemannian_grad
 
 
 def knn_brute(grid: UniformGrid, x, k: int):
@@ -279,6 +279,67 @@ def dense_verdict(problem: QcqpProblem, ghat: np.ndarray, grad_tol: float = 1e-7
         threshold=threshold,
         data_alignment=data,
         certificate_residual=residual,
+    )
+
+
+def solve_qcqp_reference(problem: QcqpProblem) -> SolveReport:
+    """Bytewise oracle for qcqp.solve_qcqp: its descent loop and helper
+    forms before their numpy calls were cut (np.* reductions, np.real and
+    np.conj, two finiteness checks and two np.where calls in the
+    projection, np.array_equal, |grad| taken twice per step).  Every float
+    and every line-search decision of solve_qcqp must equal this one's."""
+
+    def project(w):
+        if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
+            raise ValueError("w must be finite")
+        mag = np.abs(w)
+        safe = np.where(mag == 0.0, 1.0, mag)
+        return np.where(mag == 0.0, 1.0 + 0.0j, w / safe)
+
+    def objective_(g):
+        ei, ej = problem.graph._edge_arrays
+        quad = float(np.sum(np.abs(g[ei] - g[ej]) ** 2))
+        return problem.lam * quad - 2.0 * float(np.real(np.vdot(g, problem.z)))
+
+    def grad_(g):
+        v = 2.0 * (problem.lam * laplacian_apply(problem.graph, g) - problem.z)
+        return v - np.real(v * np.conj(g)) * g
+
+    g = problem.z.copy()
+    fg = objective_(g)
+    lam_delta = problem.lam * problem.graph.max_degree
+    eta_safe = 0.5 / (1.0 + 4.0 * lam_delta)
+    noise = 1e-15 * (1.0 + 2.0 * g.size * (1.0 + lam_delta))
+    eta_first = eta_safe
+    it = backtracks = 0
+    grad = grad_(g)
+    gn = float(np.max(np.abs(grad)))
+    while gn > STOP_GRAD_INF and it < MAX_ITER:
+        gsq = float(np.sum(np.abs(grad) ** 2))
+        eta = eta_first
+        g_new = f_new = None
+        accepted = False
+        while eta >= 1e-20:
+            g_new = project(g - eta * grad)
+            f_new = objective_(g_new)
+            required = ARMIJO * eta * gsq
+            if f_new <= fg - required or (required <= noise and f_new <= fg + noise):
+                accepted = True
+                break
+            eta *= 0.5
+            backtracks += 1
+        if not accepted or np.array_equal(g_new, g):
+            break
+        grad_new = grad_(g_new)
+        s, y = g_new - g, grad_new - grad
+        sy = float(np.real(np.vdot(s, y)))
+        eta_first = max(float(np.real(np.vdot(s, s))) / sy, eta_safe) if sy > 0.0 else eta_safe
+        g, fg, grad = g_new, f_new, grad_new
+        it += 1
+        gn = float(np.max(np.abs(grad)))
+    return SolveReport(
+        ghat=g, objective=fg, grad_inf_norm=gn, iterations=it, converged=gn <= STOP_GRAD_INF,
+        backtracks=backtracks,
     )
 
 

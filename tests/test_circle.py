@@ -83,6 +83,23 @@ def test_project_to_circle_examples():
     assert project_to_circle(0.0 - 2.0j) == pytest.approx(-1j, abs=1e-15)
 
 
+def test_project_to_circle_maps_zeros_inside_an_array_to_one():
+    w = np.array([0.0, -4.0 + 0.0j, complex(-0.0, -0.0), -2.0j, 0.0j])
+    out = project_to_circle(w)
+    assert out.tobytes() == np.array([1.0, -1.0, 1.0, -1j, 1.0], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_project_to_circle_rejects_nonfinite(bad, part, shape):
+    w = complex(bad, 0.5) if part == "real" else complex(0.5, bad)
+    if shape == "array":
+        w = np.array([1.0 + 1.0j, w, 0.0j])
+    with pytest.raises(ValueError, match="w must be finite"):
+        project_to_circle(w)
+
+
 def test_project_idempotent_and_scale_invariant():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(300) + 1j * rng.standard_normal(300)

@@ -1,10 +1,13 @@
-"""Importing the package loads nothing that only a path or grid solve needs.
+"""Importing the package loads nothing that only a path or grid solve needs,
+and nothing beyond numpy and the standard library.
 
 numpy loads numpy.fft lazily (numpy >= 2), and the path eigenbasis of
 graphs.PathEigenbasis reaches it at call time, so a program that never
-solves a relaxation on a path or a radius-1 grid never loads it.  The check
-runs in a fresh interpreter: the test process has imported far more than
-the package.
+solves a relaxation on a path or a radius-1 grid never loads it.  Every
+top-level module that the import adds beyond numpy is the package's own or
+in the standard library: the import time is the benchmark's setup time, and
+test-only dependencies such as scipy must never load.  The checks run in a
+fresh interpreter: the test process has imported far more than the package.
 """
 
 import os
@@ -20,17 +23,29 @@ PROBE = """
 import sys
 import numpy
 print("numpy.fft" in sys.modules)
+before = {name.partition(".")[0] for name in sys.modules}
 import modrec, modrec.cli
 print("numpy.fft" in sys.modules)
+print(",".join(sorted({name.partition(".")[0] for name in sys.modules} - before)))
 modrec.solve_ucqp(numpy.ones(4, dtype=complex), modrec.path_graph(4), 1.0)
 print("numpy.fft" in sys.modules)
 """
 
 
-def test_import_leaves_numpy_fft_unloaded():
+def _probe():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
-    by_numpy, by_import, by_path_solve = out.stdout.split()
+    return out.stdout.split()
+
+
+def test_import_adds_only_stdlib_and_the_package():
+    added = set(_probe()[2].split(","))
+    assert "modrec" in added and "scipy" not in added
+    assert added - {"modrec"} <= sys.stdlib_module_names, added - {"modrec"} - sys.stdlib_module_names
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    by_numpy, by_import, _, by_path_solve = _probe()
     if by_numpy == "True":
         pytest.skip("this numpy imports numpy.fft eagerly")
     assert by_import == "False"

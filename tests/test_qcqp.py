@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import adjacency_apply_edgewise, brute_force_min_n3, graph_edges_brute, relabelled_path
+from conftest import (
+    adjacency_apply_edgewise,
+    brute_force_min_n3,
+    graph_edges_brute,
+    relabelled_path,
+    solve_qcqp_reference,
+)
 from modrec import baselines, graphs
 from modrec.circle import circle_embed
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
@@ -400,8 +406,71 @@ def test_hessian_rejects_non_tangent():
         hessian_apply(prob, z, z)  # radial, not tangent
 
 
+def test_hessian_tangency_check_scales_with_gdot():
+    rng = np.random.default_rng(55)
+    g = _random_torus(rng, 30)
+    prob = QcqpProblem(z=_random_torus(rng, 30), graph=path_graph(30), lam=0.1)
+    u = tangent_project(g, rng.standard_normal(30) + 1j * rng.standard_normal(30))
+    big = 1e8 * u  # tangent; its radial part is rounding of order 1e-8
+    assert np.max(np.abs(np.real(big * np.conj(g)))) > 1e-9
+    hu = hessian_apply(prob, g, u)
+    assert np.max(np.abs(hessian_apply(prob, g, big) - 1e8 * hu)) <= 1e-6 * np.max(np.abs(hu))
+    with pytest.raises(ValueError, match="not tangent"):
+        hessian_apply(prob, g, 1e-10 * g)  # radial however small
+    assert np.array_equal(hessian_apply(prob, g, np.zeros(30, dtype=complex)), np.zeros(30))
+
+
 # ---------------------------------------------------------------------------
 # Solver
+
+
+REFERENCE_GRAPHS = {
+    "path2": lambda: path_graph(2),
+    "path28": lambda: path_graph(28),
+    "path300": lambda: path_graph(300),
+    "relabelled28": lambda: relabelled_path(np.zeros(28), 28)[0],
+    "grid5x5": lambda: grid_graph(2, 5),
+    "grid11x11": lambda: grid_graph(2, 11),
+    "grid7x7r2": lambda: grid_graph(2, 7, radius=2),
+    "grid4x4x4": lambda: grid_graph(3, 4),
+}
+
+
+def _reference_signal(name, n):
+    """0.15-turn noise about a slow sine in the vertex index; on the 5x5 grid
+    the signal of the torus_certify benchmark's grids (noise stream 0),
+    stiff at lam = 5."""
+    if name == "grid5x5":
+        ii, jj = np.indices((5, 5)) / 4.0
+        f = (0.05 * np.sin(TWO_PI * (ii + 0.5 * jj))).reshape(-1)
+        eta = np.random.default_rng([7, 0]).standard_normal(25)
+    else:
+        f = 0.05 * np.sin(TWO_PI * np.arange(n) / n)
+        eta = np.random.default_rng(n).standard_normal(n)
+    return np.exp(1j * TWO_PI * (f + 0.15 * eta))
+
+
+def _verdict_or_error(prob, ghat):
+    try:
+        return tightness_verdict(prob, ghat)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02, 1.0, 5.0])
+@pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
+def test_solver_bitwise_equals_reference_loop(name, lam):
+    graph = REFERENCE_GRAPHS[name]()
+    prob = QcqpProblem(z=_reference_signal(name, graph.n), graph=graph, lam=lam)
+    fast, ref = solve_qcqp(prob), solve_qcqp_reference(prob)
+    assert fast.ghat.tobytes() == ref.ghat.tobytes()
+    assert (fast.objective, fast.grad_inf_norm, fast.iterations, fast.converged, fast.backtracks) == (
+        ref.objective, ref.grad_inf_norm, ref.iterations, ref.converged, ref.backtracks)
+    assert _verdict_or_error(prob, fast.ghat) == _verdict_or_error(prob, ref.ghat)
+    if lam > 0:
+        assert ref.iterations > 0  # z is not the minimizer, so the descent ran
+    if name == "grid5x5" and lam == 5.0:
+        assert ref.backtracks > 0  # Barzilai-Borwein steps were rejected and halved
 
 
 def test_solver_trivial_cases():

@@ -38,15 +38,7 @@ from .graphs import (
     path_graph,
     quadratic_form,
 )
-from .grid import (
-    GridField,
-    UniformGrid,
-    iter_lex,
-    knn_radius,
-    knn_radius_sup,
-    knn_set,
-    mesh_points,
-)
+from .grid import GridField, UniformGrid, iter_lex, mesh_points
 from .harness import (
     ElevationDemo,
     McConfig,

@@ -185,8 +185,12 @@ def _parse_rows(path, grid: UniformGrid) -> np.ndarray | None:
     """The values of the data rows, parsed a block of lines at a time; None
     if any row fails a check of ``_check_row`` other than the value check,
     which is GridField's, or the row count is wrong.  Blank and ``#`` lines
-    are skipped, as in the row walk."""
+    are skipped, as in the row walk.  A header whose n rows of at least
+    2d + 1 bytes and a line break each cannot fit in the file is None before
+    anything is allocated from it."""
     d, n = grid.d, grid.n
+    if n * (2 * d + 2) > os.path.getsize(path):
+        return None
     want = np.indices(grid.shape).reshape(d, n) + 1
     values = np.empty(n)
     row = 0

@@ -6,7 +6,9 @@ the circle and returns its angle divided by 2*pi.  Because the projection
 discards the magnitude, the averaging normalization is irrelevant; we divide
 by the actual neighborhood size, which is also the right thing under ties.
 
-Neighborhoods of grid points are integer Chebyshev boxes clipped to the grid,
+The kNN set of a grid point is the whole smallest l-inf box around it,
+clipped to the grid, that holds at least k grid points: ties at its radius
+are included, never truncated.  These boxes have integer Chebyshev radii,
 so the whole pass runs on one d-dimensional prefix-sum table (Crow's
 summed-area table), with a fixed summation order that makes results
 independent of scheduling.  Every box that is not clipped has the same
@@ -193,6 +195,20 @@ def _check_sigma_M(sigma: float, M: float) -> None:
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y, or inf where the power overflows the float range."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _ceil_within(k_star: float, n: int) -> int:
+    """ceil(k_star) clamped to [1, n]; a k_star past the float range (inf, or
+    nan from inf/inf) gives n."""
+    return int(max(math.ceil(k_star), 1) if k_star < n else n)
+
+
 def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     """Number of neighbors minimizing the expected-risk bound, clamped to [1, n].
 
@@ -206,8 +222,14 @@ def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     if sigma == 0.0:
         warnings.warn("sigma = 0: bias-only regime, using k = 1", stacklevel=2)
         return 1
-    k_star = (d * sigma ** 2 / (4.0 * M ** 2)) ** (d / (d + 2)) * n ** (2.0 / (d + 2))
-    return int(min(max(math.ceil(k_star), 1), n))
+    try:
+        ratio = d * sigma ** 2 / (4.0 * M ** 2)
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.nan
+    if math.isnan(ratio):  # sigma^2 or M^2 left the float range, their quotient need not
+        ratio = d * (sigma / M) * (sigma / M) / 4.0
+    k_star = ratio ** (d / (d + 2)) * n ** (2.0 / (d + 2))
+    return _ceil_within(k_star, n)
 
 
 @dataclass(frozen=True)
@@ -229,15 +251,15 @@ def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelectio
     _check_sigma_M(sigma, M)
     if n < 2:
         raise ValueError("n must be >= 2")
-    c_sigma = (4.0 * np.pi ** 2 * sigma ** 2 + 2.0) / 3.0 + np.pi * sigma
+    c_sigma = (4.0 * np.pi ** 2 * _power(sigma, 2) + 2.0) / 3.0 + np.pi * sigma
     log_n = math.log(n)
     k_star = (
         n ** (2.0 / (d + 2))
         * log_n ** (d / (d + 2))
-        * (d * c_sigma / (np.pi * M)) ** (2.0 * d / (d + 2))
+        * _power(d * c_sigma / (np.pi * M), 2.0 * d / (d + 2))
     )
-    sample_ok = n / log_n >= (np.pi * M / (2.0 * d * c_sigma)) ** d
-    k = int(min(max(math.ceil(k_star), 1), n))
+    sample_ok = n / log_n >= _power(np.pi * M / (2.0 * d * c_sigma), d)
+    k = _ceil_within(k_star, n)
     return SupNormSelection(
         k=k,
         k_star=float(k_star),
@@ -253,7 +275,7 @@ def choose_k_practical(n: int, d: int = 1, C: float = 0.09) -> int:
     if n < 2:
         raise ValueError("n must be >= 2")
     k_star = C * n ** (2.0 / (d + 2)) * math.log(n) ** (d / (d + 2))
-    return int(min(max(math.ceil(k_star), 1), n))
+    return _ceil_within(k_star, n)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ def test_gen_denoise_unwrap_recover_round_trip(tmp_path, capsys):
         (("--k", "7"), 7),
         (("--k-rule", "expected", "--sigma", "0.1", "--M", "2"), choose_k_expected_risk(1, 0.1, 2.0, 300)),
         (("--k-rule", "supnorm"), choose_k_sup_norm(1, 0.12, 1.0, 300).k),
+        (("--k-rule", "practical", "--C", "1e308"), 300),
     ],
 )
 def test_denoise_and_recover_ghat_match_the_library(tmp_path, capsys, flags, k):
@@ -321,6 +322,15 @@ def test_bad_header_value_exits_2(tmp_path, capsys):
         capsys, "unwrap", "--in", str(bad), "--out", str(tmp_path / "o.gf")
     )
     assert code == 2 and "data error: line 1:" in err
+
+
+def test_header_promising_a_huge_grid_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.gf"
+    bad.write_text("#GRIDFIELD v1 d=40 m=2 kind=real\n" + "1," * 40 + "0.5\n")
+    code, _, err = run(
+        capsys, "unwrap", "--in", str(bad), "--out", str(tmp_path / "o.gf")
+    )
+    assert code == 2 and "data error: found 1 data rows" in err
 
 
 def test_trs_hard_case_exits_3(tmp_path, capsys):

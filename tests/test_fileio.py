@@ -226,6 +226,15 @@ def test_reader_matches_the_row_oracle_on_bad_files(tmp_path, name):
     assert str(err).startswith(message if line is None else f"line {line}: {message}")
 
 
+def test_header_promising_more_rows_than_the_file_can_hold(tmp_path):
+    # 2^40 rows of at least 81 bytes cannot fit in this file: the reader must
+    # say so before it allocates anything the header implies.
+    p = tmp_path / "huge.gf"
+    p.write_text("#GRIDFIELD v1 d=40 m=2 kind=real\n" + "1," * 40 + "0.5\n")
+    with pytest.raises(FormatError, match="^found 1 data rows, header promises 1099511627776$"):
+        read_field(p)
+
+
 def _large_rows(n: int) -> list:
     values = np.random.default_rng(77).uniform(size=n)
     return [f"{i},{format(float(v), '.17g')}\n" for i, v in enumerate(values, start=1)]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import box_sums_brute, padded_prefix_sums, random_mod1_field
+from conftest import box_sums_brute, knn_brute, padded_prefix_sums, random_mod1_field
 from modrec import knn
 from modrec.circle import circle_arg, mod1, wrap_distance
-from modrec.grid import GridField, UniformGrid, iter_lex, knn_radius, knn_set
+from modrec.grid import GridField, UniformGrid, floor_root, iter_lex
 from modrec.knn import (
     RiskBoundInputs,
     choose_k_expected_risk,
@@ -59,11 +59,12 @@ def test_denoise_zero_resultant_convention():
 
 
 def _denoise_oracle(f: GridField, k: int) -> np.ndarray:
-    """Definition-level oracle: explicit kNN sets, complex mean, angle."""
+    """Definition-level oracle: exact kNN sets, complex mean, angle."""
     grid = f.grid
     out = np.empty(grid.n)
     for rank, idx in enumerate(iter_lex(grid)):
-        members = knn_set(grid, grid.point(idx), k)
+        coords = (np.array(idx) - 1) / (grid.m - 1)
+        members = knn_brute(grid, coords, k)[0]
         zs = [np.exp(1j * TWO_PI * f.values[tuple(j - 1 for j in m)]) for m in members]
         mean = np.sum(zs) / len(zs)
         out[rank] = circle_arg(mean / abs(mean)) if abs(mean) > 0 else 0.0
@@ -171,6 +172,17 @@ def test_denoise_bitwise_equals_slow_path_oracle(monkeypatch):
     assert cancelled > 0 and wider_than_grid > 0
 
 
+def test_denoise_sup_radius_is_the_corner_box():
+    # The paper's sup kNN radius (ceil(k^(1/d)) - 1)/(m - 1), in grid steps:
+    # a corner's clipped box of radius c holds (c + 1)^d points, the fewest
+    # of any grid point, and floor_root(k - 1, d) = ceil(k^(1/d)) - 1.
+    for d, m in SMALL_GRIDS:
+        grid = UniformGrid(d, m)
+        f = GridField(grid, np.zeros(grid.shape), kind="mod1")
+        for k in range(1, grid.n + 1):
+            assert denoise(f, k).radius_histogram[-1][0] == floor_root(k - 1, d), (d, m, k)
+
+
 def test_denoise_normalization_invariance_on_ties():
     # Averaging with 1/k instead of 1/|set| rescales the resultant and cannot
     # change its angle; check at a grid point whose neighborhood has ties.
@@ -178,7 +190,7 @@ def test_denoise_normalization_invariance_on_ties():
     rng = np.random.default_rng(23)
     f = random_mod1_field(grid, rng)
     k = 2  # interior points see 3 members at radius one spacing
-    members = knn_set(grid, grid.point((3,)), k)
+    members = knn_brute(grid, ((3 - 1) / (grid.m - 1),), k)[0]
     assert len(members) == 3
     zs = np.array([np.exp(1j * TWO_PI * f.values[m[0] - 1]) for m in members])
     via_k = circle_arg((zs.sum() / k) / abs(zs.sum() / k))
@@ -207,17 +219,6 @@ def test_denoise_validates_input():
         denoise(f, 5)
     with pytest.raises(ValueError):
         denoise(GridField(grid, np.zeros(4), kind="real"), 1)
-
-
-def test_queries_reject_nan_and_infinite_coordinates():
-    grid = UniformGrid(2, 5)
-    for bad in (np.nan, np.inf, -np.inf):
-        for x in ((bad, 0.5), (0.5, bad)):
-            for query in (knn_set, knn_radius):
-                with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
-                    query(grid, x, 2)
-    with pytest.raises(ValueError, match=r"\[0,1\]\^d"):
-        knn_set(UniformGrid(1, 5), (np.nan,), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,31 @@ def test_bandwidth_rules_name_non_finite_inputs(bad):
             rule(1, bad, 1.0, 1000)
         with pytest.raises(ValueError, match=f"M must be a finite number above 0, got {bad}"):
             rule(1, 0.1, bad, 1000)
+
+
+def _sup_norm_k(d, sigma, M, n):
+    return choose_k_sup_norm(d, sigma, M, n).k
+
+
+@pytest.mark.parametrize(
+    "rule, args, k",
+    [
+        # k* overflows the float range: the rule clamps to n.
+        (choose_k_practical, (1000, 1, 1e308), 1000),
+        (choose_k_expected_risk, (1, 1e200, 1e-200, 1000), 1000),
+        (choose_k_expected_risk, (1, 1.0, 1e-200, 1000), 1000),
+        (_sup_norm_k, (1, 1e200, 1.0, 1000), 1000),
+        (_sup_norm_k, (3, 1.0, 1e-300, 1000), 1000),
+        # sigma^2 and M^2 leave the float range, sigma/M = 1 does not: the
+        # k of sigma = M = 1.
+        (choose_k_expected_risk, (1, 1e-200, 1e-200, 1000), 63),
+        (choose_k_expected_risk, (2, 1e154, 1e154, 1000), 23),
+        # Only the sample-size condition overflows; k* is far below 1.
+        (_sup_norm_k, (3, 1.0, 1e300, 1000), 1),
+    ],
+)
+def test_bandwidth_rules_clamp_outside_the_float_range(rule, args, k):
+    assert rule(*args) == k
 
 
 

@@ -55,7 +55,6 @@ from .harness import (
 )
 from .interpolate import evaluate, fit
 from .knn import (
-    RiskBoundInputs,
     choose_k_expected_risk,
     choose_k_practical,
     choose_k_sup_norm,

@@ -366,7 +366,12 @@ def _model_root(points, constant_sq: float, n: int, lo: float, hi: float) -> flo
 
 
 def lambda_schedule(kappa: float, n: int) -> float:
-    """Smoothing weight schedule kappa * n^(10/12), increasing in n."""
-    if not 0 < kappa < np.inf:
+    """Smoothing weight schedule kappa * n^(10/12), increasing in n; a weight
+    past the float range is a ValueError, as the relaxations reject it."""
+    kappa = float(kappa)
+    if not 0 < kappa < math.inf:
         raise ValueError("kappa must be finite and positive")
-    return float(kappa * n ** (10.0 / 12.0))
+    lam = kappa * n ** (10.0 / 12.0)
+    if lam == math.inf:
+        raise ValueError(f"kappa * n^(10/12) is inf at kappa = {kappa!r}, n = {n}")
+    return lam

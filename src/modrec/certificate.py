@@ -23,7 +23,9 @@ likelihood semidefinite relaxation for angular synchronization", 2017), so
 the verdict decides on A alone and never forms S.  The dense lift and
 certificate remain for the identities they satisfy.  The module also
 implements the closed-form sufficient conditions and error bound that
-guarantee tightness a priori.
+guarantee tightness a priori.  They take lam_delta = lam*Delta, the smoothing
+weight times the max degree Delta, the one product through which they
+depend on either.
 """
 
 from __future__ import annotations
@@ -142,57 +144,52 @@ class AprioriConditions:
 
 
 def apriori_tightness_conditions(
-    delta: float, lam: float, max_degree: float, smoothness: float
+    delta: float, lam_delta: float, smoothness: float
 ) -> AprioriConditions:
     """Closed-form sufficient conditions for tightness from problem data alone:
 
-    1.  delta + sqrt((8/7)*(3*delta + lam*Delta*(B^2 + sqrt(2)))) <= sqrt(2)/3
-    2.  lam*Delta <= 1/8
+    1.  delta + sqrt((8/7)*(3*delta + lam_delta*(B^2 + sqrt(2)))) <= sqrt(2)/3
+    2.  lam_delta <= 1/8
 
-    where delta bounds ||z - h||_inf, Delta is the max degree and B the edge
-    smoothness of the ground truth.
+    where delta bounds ||z - h||_inf and B is the edge smoothness of the
+    ground truth.
     """
     if not 0.0 <= delta <= 2.0:
         raise ValueError("delta must lie in [0, 2]")
     if not 0.0 <= smoothness <= 2.0:
         raise ValueError("smoothness must lie in [0, 2]")
-    ld = lam * max_degree
-    value = delta + np.sqrt((8.0 / 7.0) * (3.0 * delta + ld * (smoothness ** 2 + np.sqrt(2.0))))
+    inner = 3.0 * delta + lam_delta * (smoothness ** 2 + np.sqrt(2.0))
+    value = delta + np.sqrt((8.0 / 7.0) * inner)
     cond1 = bool(value <= np.sqrt(2.0) / 3.0)
-    cond2 = bool(ld <= 1.0 / 8.0)
-    return AprioriConditions(
-        cond1_value=float(value), cond1=cond1, cond2=cond2, ok=cond1 and cond2
-    )
+    cond2 = bool(lam_delta <= 1.0 / 8.0)
+    return AprioriConditions(cond1_value=float(value), cond1=cond1, cond2=cond2, ok=cond1 and cond2)
 
 
 def empirical_tightness_condition(
-    lam: float, max_degree: float, smoothness: float, delta: float, ghat_err_inf: float
+    delta: float, lam_delta: float, smoothness: float, ghat_err_inf: float
 ) -> bool:
     """Data-dependent sufficient condition, given the realized solution error:
 
-    lam*Delta*(B + 2*e) + ((3 - s^2)/(2 - s^2)) * s^2 < 1  with s = delta + e.
+    lam_delta*(B + 2*e) + ((3 - s^2)/(2 - s^2)) * s^2 < 1  with s = delta + e.
 
     Requires s < sqrt(2) so the denominator is positive.
     """
     s = delta + ghat_err_inf
     if s * s >= 2.0:
         raise ValueError("delta + ghat_err_inf must be below sqrt(2)")
-    value = lam * max_degree * (smoothness + 2.0 * ghat_err_inf) + (3.0 - s * s) / (
-        2.0 - s * s
-    ) * s * s
+    value = lam_delta * (smoothness + 2.0 * ghat_err_inf) + (3.0 - s * s) / (2.0 - s * s) * s * s
     return bool(value < 1.0)
 
 
-def linf_error_bound(delta: float, lam: float, max_degree: float, smoothness: float) -> float:
+def linf_error_bound(delta: float, lam_delta: float, smoothness: float) -> float:
     """Bound on the squared sup-norm error of any global denoiser:
 
-    ||ghat - h||_inf^2 <= (2*delta + delta^2 + lam*Delta*(B^2 + sqrt(2)))
-                          / (1 - lam*Delta/sqrt(2)),
+    ||ghat - h||_inf^2 <= (2*delta + delta^2 + lam_delta*(B^2 + sqrt(2)))
+                          / (1 - lam_delta/sqrt(2)),
 
-    valid whenever lam*Delta < sqrt(2).
+    valid whenever lam_delta < sqrt(2).
     """
-    ld = lam * max_degree
-    if ld >= np.sqrt(2.0):
-        raise ValueError("lam * max_degree must be below sqrt(2)")
-    num = 2.0 * delta + delta ** 2 + ld * (smoothness ** 2 + np.sqrt(2.0))
-    return float(num / (1.0 - ld / np.sqrt(2.0)))
+    if lam_delta >= np.sqrt(2.0):
+        raise ValueError("lam_delta must be below sqrt(2)")
+    num = 2.0 * delta + delta ** 2 + lam_delta * (smoothness ** 2 + np.sqrt(2.0))
+    return float(num / (1.0 - lam_delta / np.sqrt(2.0)))

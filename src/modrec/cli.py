@@ -180,26 +180,17 @@ def _build_parser() -> _Parser:
 
 
 def _add_k_flags(cmd):
-    cmd.add_argument("--k", type=_at_least(1))
-    cmd.add_argument(
-        "--k-rule",
-        choices=["explicit", "expected", "supnorm", "practical"],
-        default="explicit",
-    )
+    k = cmd.add_mutually_exclusive_group(required=True)
+    k.add_argument("--k", type=_at_least(1))
+    k.add_argument("--k-rule", choices=["expected", "supnorm", "practical"])
     cmd.add_argument("--C", type=_finite(0.0, strict=True))
     cmd.add_argument("--sigma", type=_finite(0.0), default=0.12)
     cmd.add_argument("--M", type=_finite(0.0, strict=True), default=1.0)
 
 
-def _validate_k_flags(args) -> None:
-    # Flag sets are validated before any file is touched.
-    if args.k_rule == "explicit" and args.k is None:
-        raise UsageError("--k is required with --k-rule explicit")
-
-
 def _choose_k(args, field: GridField) -> int:
     n, d = field.grid.n, field.grid.d
-    if args.k_rule == "explicit":
+    if args.k is not None:
         return args.k
     if args.k_rule == "expected":
         return knn.choose_k_expected_risk(d, args.sigma, args.M, n)
@@ -227,7 +218,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "denoise":
-        _validate_k_flags(args)
         field = fileio.read_field(args.inp)
         k = _choose_k(args, field)
         result = knn.denoise(field, k)
@@ -250,7 +240,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "recover":
-        _validate_k_flags(args)
         field = fileio.read_field(args.inp)
         k = _choose_k(args, field)
         pipe = harness.run_pipeline(field, k)

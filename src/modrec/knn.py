@@ -28,9 +28,11 @@ Bandwidth selection implements three rules:
 *   ``choose_k_practical`` is the desk recipe k = ceil(C * n^(2/(d+2)) *
     (log n)^(d/(d+2))).
 
-The bound evaluators return their value even when the hypotheses
-(sigma <= 1/(2*pi), n >= 2^d) fail, flagging the violation, so parameter
-sweeps can chart validity regions.  All logarithms are natural.
+The rules and bound evaluators take (d, sigma, M, n), the bounds then k; a
+value past the float range is inf and a k* there clamps to n.  The bound
+evaluators return their value even when the hypotheses (sigma <= 1/(2*pi),
+n >= 2^d) fail, flagging the violation, so parameter sweeps can chart
+validity regions.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -187,12 +189,14 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     )
 
 
-def _check_sigma_M(sigma: float, M: float) -> None:
-    """The noise level and Lipschitz constant that the bandwidth rules accept."""
-    if not 0 < M < np.inf:
+def _check_sigma_M(sigma: float, M: float) -> tuple:
+    """sigma and M as Python floats, which overflow to inf without a warning."""
+    sigma, M = float(sigma), float(M)
+    if not 0 < M < math.inf:
         raise ValueError(f"M must be a finite number above 0, got {M!r}")
-    if not 0 <= sigma < np.inf:
+    if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    return sigma, M
 
 
 def _power(x: float, y: float) -> float:
@@ -209,6 +213,11 @@ def _ceil_within(k_star: float, n: int) -> int:
     return int(max(math.ceil(k_star), 1) if k_star < n else n)
 
 
+def _noise_factor(sigma: float) -> float:
+    """The sup-norm rate's noise factor c_sigma = (4*pi^2*sigma^2 + 2)/3 + pi*sigma."""
+    return (4.0 * np.pi ** 2 * _power(sigma, 2) + 2.0) / 3.0 + np.pi * sigma
+
+
 def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     """Number of neighbors minimizing the expected-risk bound, clamped to [1, n].
 
@@ -216,7 +225,7 @@ def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     the returned k is its ceiling.  sigma = 0 is the bias-only regime and
     returns 1 with a warning.
     """
-    _check_sigma_M(sigma, M)
+    sigma, M = _check_sigma_M(sigma, M)
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma == 0.0:
@@ -243,15 +252,15 @@ class SupNormSelection:
 def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelection:
     """Sup-norm rate bandwidth k = ceil(k_star), with hypothesis reports.
 
-    k_star = n^(2/(d+2)) (log n)^(d/(d+2)) (d*((4*pi^2*sigma^2+2)/3 + pi*sigma)
-    / (pi*M))^(2d/(d+2)).  Also reports whether the sample-size condition
-    n/log n >= (pi*M / (2*d*((4*pi^2*sigma^2+2)/3 + pi*sigma)))^d holds and
+    k_star = n^(2/(d+2)) (log n)^(d/(d+2)) (d*c_sigma / (pi*M))^(2d/(d+2)),
+    c_sigma = (4*pi^2*sigma^2+2)/3 + pi*sigma.  Also reports whether the
+    sample-size condition n/log n >= (pi*M / (2*d*c_sigma))^d holds and
     whether k_star >= log n (the simplification used to derive the rule).
     """
-    _check_sigma_M(sigma, M)
+    sigma, M = _check_sigma_M(sigma, M)
     if n < 2:
         raise ValueError("n must be >= 2")
-    c_sigma = (4.0 * np.pi ** 2 * _power(sigma, 2) + 2.0) / 3.0 + np.pi * sigma
+    c_sigma = _noise_factor(sigma)
     log_n = math.log(n)
     k_star = (
         n ** (2.0 / (d + 2))
@@ -270,46 +279,13 @@ def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelectio
 
 def choose_k_practical(n: int, d: int = 1, C: float = 0.09) -> int:
     """Desk rule k = ceil(C * n^(2/(d+2)) * (log n)^(d/(d+2))), clamped to [1, n]."""
-    if not 0 < C < np.inf:
+    C = float(C)
+    if not 0 < C < math.inf:
         raise ValueError(f"C must be a finite number above 0, got {C!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     k_star = C * n ** (2.0 / (d + 2)) * math.log(n) ** (d / (d + 2))
     return _ceil_within(k_star, n)
-
-
-@dataclass(frozen=True)
-class RiskBoundInputs:
-    """Inputs to the risk-bound evaluators; M is the l-inf Lipschitz constant."""
-
-    d: int
-    sigma: float
-    M: float
-    n: int
-    k: int
-
-    def __post_init__(self):
-        _check_sigma_M(self.sigma, self.M)
-        if self.n < 1 or not 1 <= self.k:
-            raise ValueError("invalid risk-bound inputs")
-
-    @property
-    def envelope_bound(self) -> float:
-        """Almost-sure bound 1 + exp(2*pi^2*sigma^2) on the centered embedded noise."""
-        return 1.0 + math.exp(2.0 * np.pi ** 2 * self.sigma ** 2)
-
-    @property
-    def variance(self) -> float:
-        """Exact variance exp(4*pi^2*sigma^2) - 1 of each centered embedded sample."""
-        return math.exp(4.0 * np.pi ** 2 * self.sigma ** 2) - 1.0
-
-    def _violations(self) -> tuple:
-        out = []
-        if self.sigma > 1.0 / TWO_PI:
-            out.append("sigma > 1/(2*pi)")
-        if self.n < 2 ** self.d:
-            out.append("n < 2^d")
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -319,30 +295,40 @@ class BoundValue:
     violations: tuple
 
 
-def expected_risk_bound(inputs: RiskBoundInputs) -> BoundValue:
-    """Pointwise expected-risk bound 64*pi^2*M^2*(k/n)^(2/d) + 32*pi^2*sigma^2/k."""
+def _risk_inputs(d: int, sigma: float, M: float, n: int, k: int) -> tuple:
+    """sigma and M as floats, and which of sigma <= 1/(2*pi), n >= 2^d fail."""
+    sigma, M = _check_sigma_M(sigma, M)
+    if n < 1 or not 1 <= k:
+        raise ValueError("invalid risk-bound inputs")
+    hypotheses = (("sigma > 1/(2*pi)", sigma > 1.0 / TWO_PI), ("n < 2^d", n < 2 ** d))
+    return sigma, M, tuple(text for text, failed in hypotheses if failed)
+
+
+def expected_risk_bound(d: int, sigma: float, M: float, n: int, k: int) -> BoundValue:
+    """Pointwise expected-risk bound 64*pi^2*M^2*(k/n)^(2/d) + 32*pi^2*sigma^2/k;
+    M is the l-inf Lipschitz constant."""
+    sigma, M, viol = _risk_inputs(d, sigma, M, n, k)
     v = (
-        64.0 * np.pi ** 2 * inputs.M ** 2 * (inputs.k / inputs.n) ** (2.0 / inputs.d)
-        + 32.0 * np.pi ** 2 * inputs.sigma ** 2 / inputs.k
+        64.0 * np.pi ** 2 * _power(M, 2) * _power(k / n, 2.0 / d)
+        + 32.0 * np.pi ** 2 * _power(sigma, 2) / k
     )
-    viol = inputs._violations()
     return BoundValue(value=float(v), hypothesis_ok=not viol, violations=viol)
 
 
-def sup_norm_bound(inputs: RiskBoundInputs) -> BoundValue:
+def sup_norm_bound(d: int, sigma: float, M: float, n: int, k: int) -> BoundValue:
     """High-probability (>= 1 - 1/n) in-sample sup-norm bound on the circle estimate.
 
     8*pi*M*(k/n)^(1/d) + (64/3)*(2*pi^2*sigma^2 + 1)*log(n)/k
     + 32*pi*sigma*sqrt(log(n)/k).  The middle term does not vanish at
     sigma = 0; it comes from the bounded-difference concentration step.
     """
-    log_n = math.log(inputs.n)
+    sigma, M, viol = _risk_inputs(d, sigma, M, n, k)
+    log_n = math.log(n)
     v = (
-        8.0 * np.pi * inputs.M * (inputs.k / inputs.n) ** (1.0 / inputs.d)
-        + (64.0 / 3.0) * (2.0 * np.pi ** 2 * inputs.sigma ** 2 + 1.0) * log_n / inputs.k
-        + 32.0 * np.pi * inputs.sigma * math.sqrt(log_n / inputs.k)
+        8.0 * np.pi * M * _power(k / n, 1.0 / d)
+        + (64.0 / 3.0) * (2.0 * np.pi ** 2 * _power(sigma, 2) + 1.0) * log_n / k
+        + 32.0 * np.pi * sigma * math.sqrt(log_n / k)
     )
-    viol = inputs._violations()
     return BoundValue(value=float(v), hypothesis_ok=not viol, violations=viol)
 
 
@@ -353,7 +339,8 @@ class SupErrorScale:
     small_enough: delta(n) <= 2, so the bound is informative.
     unwrap_feasible: delta(n) + 2*M/(m - 1) < 1, the resolution condition of
     unwrap.itoh_check at wrap error delta(n)/4, under which the branch
-    corrections of the unwrapping stage are exact.
+    corrections of the unwrapping stage are exact.  Both are False where
+    delta(n) leaves the float range.
     """
 
     value: float
@@ -362,20 +349,17 @@ class SupErrorScale:
 
 
 def sup_error_scale(d: int, sigma: float, M: float, n: int) -> SupErrorScale:
-    """delta(n) = 6*(8*pi*M)^(d/(d+2)) * (32*((4*pi^2*sigma^2+2)/3 + pi*sigma))^(2/(d+2))
-    * (log(n)/n)^(1/(d+2)); one quarter of it bounds the wrap error of the
-    denoised samples with probability >= 1 - 1/n."""
-    _check_sigma_M(sigma, M)
+    """delta(n) = 6*(8*pi*M)^(d/(d+2)) * (32*c_sigma)^(2/(d+2)) * (log(n)/n)^(1/(d+2)),
+    c_sigma = (4*pi^2*sigma^2+2)/3 + pi*sigma; one quarter of it bounds the
+    wrap error of the denoised samples with probability >= 1 - 1/n."""
+    sigma, M = _check_sigma_M(sigma, M)
     if n < 2:
         raise ValueError("n must be >= 2")
-    c_sigma = (4.0 * np.pi ** 2 * sigma ** 2 + 2.0) / 3.0 + np.pi * sigma
-    gamma = 6.0 * (8.0 * np.pi * M) ** (d / (d + 2)) * (32.0 * c_sigma) ** (2.0 / (d + 2))
+    c_sigma = _noise_factor(sigma)
+    gamma = 6.0 * _power(8.0 * np.pi * M, d / (d + 2)) * _power(32.0 * c_sigma, 2.0 / (d + 2))
     value = gamma * (math.log(n) / n) ** (1.0 / (d + 2))
     m = floor_root(n, d)
-    feasible = m >= 2 and itoh_check(value / 4.0, M, m).satisfied
+    feasible = value < math.inf and m >= 2 and itoh_check(value / 4.0, M, m).satisfied
     return SupErrorScale(
-        value=float(value),
-        small_enough=bool(value <= 2.0),
-        unwrap_feasible=bool(feasible),
+        value=float(value), small_enough=bool(value <= 2.0), unwrap_feasible=bool(feasible)
     )
-

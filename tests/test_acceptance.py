@@ -145,7 +145,7 @@ def test_criterion_04_pointwise_risk_below_bound():
         data = generate(SyntheticSpec(function=fn, d=d, m=m, sigma=sigma, seed=400 + trial))
         est = np.exp(1j * TWO_PI * mr.denoise(data.noisy_mod, k).ghat.flat[points])
         sq_errors[trial] = np.abs(est - h) ** 2
-    bound = mr.expected_risk_bound(mr.RiskBoundInputs(d=d, sigma=sigma, M=M, n=grid.n, k=k))
+    bound = mr.expected_risk_bound(d, sigma, M, grid.n, k)
     mc = sq_errors.mean(axis=0)
     elapsed = time.perf_counter() - start
     ok = bool(np.all(mc <= bound.value)) and bound.hypothesis_ok and elapsed < 30.0
@@ -310,12 +310,13 @@ def _sample_planted_instance(rng, use_grid_graph):
     if delta_max <= 1e-4:
         return None
     delta = rng.uniform(0.0, 0.999 * delta_max)
-    cond = mr.apriori_tightness_conditions(delta, lam_delta / graph.max_degree, graph.max_degree, smooth)
+    lam = lam_delta / graph.max_degree
+    cond = mr.apriori_tightness_conditions(delta, lam * graph.max_degree, smooth)
     if not cond.ok:
         return None
     phases = rng.uniform(-1.0, 1.0, graph.n) * 2.0 * math.asin(delta / 2.0)
     z = h * np.exp(1j * phases)
-    return h, z, graph, lam_delta / graph.max_degree, delta, smooth
+    return h, z, graph, lam, delta, smooth
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +358,7 @@ def test_criterion_09_linf_bound_on_sweep(planted_sweep):
     for h, prob, rep, delta, smooth in planted_sweep:
         lam_delta = prob.lam * prob.graph.max_degree
         assert lam_delta < _SQRT2
-        bound = mr.linf_error_bound(delta, prob.lam, prob.graph.max_degree, smooth)
+        bound = mr.linf_error_bound(delta, lam_delta, smooth)
         err_sq = float(np.max(np.abs(rep.ghat - h))) ** 2
         holds += err_sq <= bound + 1e-8
     ok = holds == len(planted_sweep)

@@ -394,6 +394,14 @@ def test_lambda_schedule():
             lambda_schedule(kappa, 10)
 
 
+@pytest.mark.parametrize("kappa", [1e308, np.float64(1e308)], ids=["float", "float64"])
+def test_lambda_schedule_rejects_a_weight_past_the_float_range(kappa):
+    # 1e308 * 16^(10/12) is inf, which the relaxations reject as lam.
+    assert lambda_schedule(kappa, 1) == 1e308
+    with pytest.raises(ValueError, match=r"kappa \* n\^\(10/12\) is inf at kappa = 1e\+308, n = 16"):
+        lambda_schedule(kappa, 16)
+
+
 @pytest.mark.parametrize("solve", [solve_ucqp, solve_trs])
 @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
 def test_relaxations_reject_bad_lam(solve, lam):

@@ -376,34 +376,34 @@ def test_verdict_requires_critical_point():
 
 
 def test_apriori_conditions_examples():
-    r = apriori_tightness_conditions(0.0, 0.0, 2.0, 0.0)
+    r = apriori_tightness_conditions(0.0, 0.0, 0.0)
     assert r.ok and r.cond1_value == 0.0
-    r = apriori_tightness_conditions(0.0, 0.1, 2.0, 0.0)  # lam*Delta = 0.2
+    r = apriori_tightness_conditions(0.0, 0.2, 0.0)
     assert not r.cond2
-    r = apriori_tightness_conditions(0.01, 0.05, 1.0, 0.1)
+    r = apriori_tightness_conditions(0.01, 0.05, 0.1)
     inner = (8.0 / 7.0) * (0.03 + 0.05 * (0.01 + np.sqrt(2.0)))
     assert r.cond1_value == pytest.approx(0.01 + np.sqrt(inner), rel=1e-12)
     assert r.cond1_value == pytest.approx(0.3501, abs=2e-4)
     assert r.cond1 and r.cond2 and r.ok
     with pytest.raises(ValueError):
-        apriori_tightness_conditions(2.5, 0.0, 1.0, 0.0)
+        apriori_tightness_conditions(2.5, 0.0, 0.0)
 
 
 def test_empirical_condition_examples():
-    assert empirical_tightness_condition(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert not empirical_tightness_condition(0.0, 1.0, 0.0, 1.0, 0.0)  # (2/1)*1 = 2 >= 1
+    assert empirical_tightness_condition(0.0, 0.0, 0.0, 0.0)
+    assert not empirical_tightness_condition(1.0, 0.0, 0.0, 0.0)  # (2/1)*1 = 2 >= 1
     # moderate regime: 0.1*(0.05 + 0.16) + ((3-s^2)/(2-s^2))*s^2 with s=0.13
-    assert empirical_tightness_condition(0.1, 1.0, 0.05, 0.05, 0.08)
+    assert empirical_tightness_condition(0.05, 0.1, 0.05, 0.08)
     with pytest.raises(ValueError):
-        empirical_tightness_condition(0.0, 1.0, 0.0, 1.0, 0.5)
+        empirical_tightness_condition(1.0, 0.0, 0.0, 0.5)
 
 
 def test_linf_error_bound_examples():
-    assert linf_error_bound(0.0, 0.0, 2.0, 0.0) == 0.0
-    assert linf_error_bound(0.1, 0.0, 2.0, 0.5) == pytest.approx(0.21, rel=1e-12)
-    val = linf_error_bound(0.05, 0.05, 2.0, 0.1)
+    assert linf_error_bound(0.0, 0.0, 0.0) == 0.0
+    assert linf_error_bound(0.1, 0.0, 0.5) == pytest.approx(0.21, rel=1e-12)
+    val = linf_error_bound(0.05, 0.1, 0.1)
     num = 0.1 + 0.0025 + 0.1 * (0.01 + np.sqrt(2.0))
     assert val == pytest.approx(num / (1.0 - 0.1 / np.sqrt(2.0)), rel=1e-12)
     assert val == pytest.approx(0.2636, abs=2e-4)
     with pytest.raises(ValueError):
-        linf_error_bound(0.1, 1.0, 2.0, 0.1)  # lam*Delta = 2 >= sqrt(2)
+        linf_error_bound(0.1, 2.0, 0.1)  # lam*Delta >= sqrt(2)

@@ -133,6 +133,7 @@ def test_bad_solver_flag_values_exit_1_before_reading(tmp_path, capsys, command,
         ("--kappa=-1", "--methods", "ucqp", "--n-sweep", "16"),
         ("--n-sweep", ""), ("--n-sweep", "16,16"),
         ("--methods", "", "--n-sweep", "16"), ("--methods", "knn,knn", "--n-sweep", "16"),
+        ("--methods", "ucqp", "--kappa", "1e308", "--n-sweep", "16,64,256", "--trials", "1"),
     ],
 )
 def test_mc_config_rejections_exit_1(capsys, flags):
@@ -178,6 +179,21 @@ def test_bad_flag_values_exit_1_before_reading(tmp_path, capsys, argv):
     # The input file does not exist: a data error (exit 2) would mean it was read first.
     code, out, err = run(capsys, *argv, "--in", str(tmp_path / "absent"))
     assert code == 1 and err.startswith("usage error: argument --") and not out
+
+
+@pytest.mark.parametrize("command", ["denoise", "recover"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--k", "5", "--k-rule", "practical"), "argument --k-rule: not allowed with argument --k"),
+        ((), "one of the arguments --k --k-rule is required"),
+        (("--k-rule", "explicit"), "argument --k-rule: invalid choice: 'explicit'"),
+    ],
+)
+def test_k_is_given_one_way_before_reading(tmp_path, capsys, command, flags, message):
+    # Exactly one of --k and --k-rule; the absent input shows nothing was read.
+    code, out, err = run(capsys, command, "--in", str(tmp_path / "absent"), *flags, "--out", "o.gf")
+    assert code == 1 and err.startswith(f"usage error: {message}") and not out
 
 
 def _json(payload: dict) -> str:

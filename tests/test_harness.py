@@ -322,6 +322,7 @@ def test_mc_config_rejects_function_of_another_dimension(function, message):
         ({"kappa": -1.0, "methods": ("ucqp",)}, "kappa must be finite and positive"),
         ({"kappa": np.nan, "methods": ("knn", "trs")}, "kappa must be finite and positive"),
         ({"d": 0}, "d must be >= 1"),
+        ({"kappa": 1e308, "methods": ("ucqp",)}, r"kappa \* n\^\(10/12\) is inf"),
     ],
 )
 def test_mc_config_rejects_values_its_trials_would_reject(settings, message):

@@ -8,7 +8,6 @@ from modrec import knn
 from modrec.circle import circle_arg, mod1, wrap_distance
 from modrec.grid import GridField, UniformGrid, floor_root, iter_lex
 from modrec.knn import (
-    RiskBoundInputs,
     choose_k_expected_risk,
     choose_k_practical,
     choose_k_sup_norm,
@@ -319,25 +318,33 @@ def _sup_norm_k(d, sigma, M, n):
     return choose_k_sup_norm(d, sigma, M, n).k
 
 
-@pytest.mark.parametrize(
-    "rule, args, k",
-    [
-        # k* overflows the float range: the rule clamps to n.
-        (choose_k_practical, (1000, 1, 1e308), 1000),
-        (choose_k_expected_risk, (1, 1e200, 1e-200, 1000), 1000),
-        (choose_k_expected_risk, (1, 1.0, 1e-200, 1000), 1000),
-        (_sup_norm_k, (1, 1e200, 1.0, 1000), 1000),
-        (_sup_norm_k, (3, 1.0, 1e-300, 1000), 1000),
-        # sigma^2 and M^2 leave the float range, sigma/M = 1 does not: the
-        # k of sigma = M = 1.
-        (choose_k_expected_risk, (1, 1e-200, 1e-200, 1000), 63),
-        (choose_k_expected_risk, (2, 1e154, 1e154, 1000), 23),
-        # Only the sample-size condition overflows; k* is far below 1.
-        (_sup_norm_k, (3, 1.0, 1e300, 1000), 1),
-    ],
-)
+_FLOAT_RANGE_CASES = [
+    # k* overflows the float range: the rule clamps to n.
+    (choose_k_practical, (1000, 1, 1e308), 1000),
+    (choose_k_expected_risk, (1, 1e200, 1e-200, 1000), 1000),
+    (choose_k_expected_risk, (1, 1.0, 1e-200, 1000), 1000),
+    (_sup_norm_k, (1, 1e200, 1.0, 1000), 1000),
+    (_sup_norm_k, (3, 1.0, 1e-300, 1000), 1000),
+    # sigma^2 and M^2 leave the float range, sigma/M = 1 does not: the
+    # k of sigma = M = 1.
+    (choose_k_expected_risk, (1, 1e-200, 1e-200, 1000), 63),
+    (choose_k_expected_risk, (2, 1e154, 1e154, 1000), 23),
+    # Only the sample-size condition overflows; k* is far below 1.
+    (_sup_norm_k, (3, 1.0, 1e300, 1000), 1),
+]
+
+
+@pytest.mark.parametrize("rule, args, k", _FLOAT_RANGE_CASES)
 def test_bandwidth_rules_clamp_outside_the_float_range(rule, args, k):
     assert rule(*args) == k
+
+
+@pytest.mark.parametrize("rule, args, k", _FLOAT_RANGE_CASES)
+def test_bandwidth_rules_clamp_float64_input_outside_the_float_range(rule, args, k):
+    # numpy scalars overflow with a RuntimeWarning where Python floats give
+    # inf; the rules take sigma, M and C as Python floats.
+    got = rule(*(np.float64(a) if isinstance(a, float) else a for a in args))
+    assert got == k and type(got) is int
 
 
 
@@ -345,10 +352,11 @@ def test_bandwidth_rules_clamp_outside_the_float_range(rule, args, k):
 @pytest.mark.parametrize(
     "evaluator",
     [
-        lambda sigma, M: RiskBoundInputs(d=1, sigma=sigma, M=M, n=100, k=5),
+        lambda sigma, M: expected_risk_bound(1, sigma, M, 100, 5),
+        lambda sigma, M: sup_norm_bound(1, sigma, M, 100, 5),
         lambda sigma, M: sup_error_scale(1, sigma, M, 100),
     ],
-    ids=["RiskBoundInputs", "sup_error_scale"],
+    ids=["expected_risk_bound", "sup_norm_bound", "sup_error_scale"],
 )
 def test_bound_evaluators_name_non_finite_inputs(evaluator, bad):
     with pytest.raises(ValueError, match=f"sigma must be a finite number >= 0, got {bad}"):
@@ -360,40 +368,54 @@ def test_bound_evaluators_name_non_finite_inputs(evaluator, bad):
 # Bounds
 
 
+_SIGMA_FLAGS = {"hypothesis_ok": False, "violations": ("sigma > 1/(2*pi)",)}
+
+
+@pytest.mark.parametrize(
+    "evaluator, args, flags",
+    [
+        (expected_risk_bound, (1, 1e200, 1.0, 100, 5), _SIGMA_FLAGS),
+        (expected_risk_bound, (1, 0.1, 1e200, 100, 5), {"hypothesis_ok": True, "violations": ()}),
+        (sup_norm_bound, (1, 1e200, 1.0, 100, 5), _SIGMA_FLAGS),
+        (sup_norm_bound, (1, np.float64(1e200), 1.0, 100, 5), _SIGMA_FLAGS),
+        (sup_error_scale, (1, 1e200, 1.0, 100), {"small_enough": False, "unwrap_feasible": False}),
+    ],
+    ids=["expected_risk_sigma", "expected_risk_M", "sup_norm_sigma", "sup_norm_sigma_float64",
+         "sup_error_scale_sigma"],
+)
+def test_bounds_are_inf_outside_the_float_range(evaluator, args, flags):
+    # sigma^2 or M^2 overflows; the bound is inf with the flags of the inputs,
+    # and sup_error_scale does not hand the inf to unwrap.itoh_check.
+    result = evaluator(*args)
+    assert result.value == math.inf
+    assert {name: getattr(result, name) for name in flags} == flags
+
+
 def test_expected_risk_bound_values():
-    b = expected_risk_bound(RiskBoundInputs(d=1, sigma=0.1, M=1.0, n=100, k=10))
+    b = expected_risk_bound(1, 0.1, 1.0, 100, 10)
     assert b.value == pytest.approx(64 * np.pi ** 2 * 0.01 + 32 * np.pi ** 2 * 0.01 / 10, rel=1e-14)
     assert b.value == pytest.approx(6.63237, abs=2e-5)
     assert b.hypothesis_ok
-    b = expected_risk_bound(RiskBoundInputs(d=1, sigma=0.0, M=2.0, n=50, k=50))
+    b = expected_risk_bound(1, 0.0, 2.0, 50, 50)
     assert b.value == pytest.approx(64 * np.pi ** 2 * 4.0, rel=1e-14)
-    b = expected_risk_bound(RiskBoundInputs(d=1, sigma=0.0, M=1.0, n=100, k=1))
+    b = expected_risk_bound(1, 0.0, 1.0, 100, 1)
     assert b.value == pytest.approx(64 * np.pi ** 2 / 100 ** 2, rel=1e-14)
 
 
-def test_risk_inputs_noise_constants():
-    inp = RiskBoundInputs(d=1, sigma=0.1, M=1.0, n=100, k=5)
-    assert inp.envelope_bound == pytest.approx(1.0 + math.exp(2 * np.pi ** 2 * 0.01), rel=1e-14)
-    assert inp.variance == pytest.approx(math.exp(4 * np.pi ** 2 * 0.01) - 1.0, rel=1e-14)
-    zero = RiskBoundInputs(d=1, sigma=0.0, M=1.0, n=100, k=5)
-    assert zero.envelope_bound == 2.0 and zero.variance == 0.0
-
-
 def test_bound_hypothesis_flags():
-    b = expected_risk_bound(RiskBoundInputs(d=1, sigma=0.5, M=1.0, n=100, k=5))
+    b = expected_risk_bound(1, 0.5, 1.0, 100, 5)
     assert not b.hypothesis_ok and "sigma > 1/(2*pi)" in b.violations
-    b = sup_norm_bound(RiskBoundInputs(d=4, sigma=0.1, M=1.0, n=8, k=2))
+    b = sup_norm_bound(4, 0.1, 1.0, 8, 2)
     assert not b.hypothesis_ok and "n < 2^d" in b.violations
 
 
 def test_sup_norm_bound_structure():
-    inp = RiskBoundInputs(d=1, sigma=0.0, M=1.0, n=1000, k=50)
-    b = sup_norm_bound(inp)
+    b = sup_norm_bound(1, 0.0, 1.0, 1000, 50)
     expected = 8 * np.pi * 50 / 1000 + (64 / 3) * math.log(1000) / 50
     assert b.value == pytest.approx(expected, rel=1e-14)
     # bias grows with k, variance terms shrink
-    b_small = sup_norm_bound(RiskBoundInputs(d=1, sigma=0.1, M=1.0, n=1000, k=10))
-    b_large = sup_norm_bound(RiskBoundInputs(d=1, sigma=0.1, M=1.0, n=1000, k=400))
+    b_small = sup_norm_bound(1, 0.1, 1.0, 1000, 10)
+    b_large = sup_norm_bound(1, 0.1, 1.0, 1000, 400)
     bias = lambda k: 8 * np.pi * (k / 1000)
     var = lambda k: (64 / 3) * (2 * np.pi ** 2 * 0.01 + 1) * math.log(1000) / k + 32 * np.pi * 0.1 * math.sqrt(math.log(1000) / k)
     assert bias(400) > bias(10) and var(400) < var(10)
@@ -456,5 +478,5 @@ def test_pointwise_risk_below_bound_small_mc():
         fld = GridField(grid, y, kind="mod1")
         hk = np.exp(1j * TWO_PI * denoise(fld, k).ghat.flat[point])
         errs.append(abs(hk - h[point]) ** 2)
-    bound = expected_risk_bound(RiskBoundInputs(d=1, sigma=sigma, M=M, n=grid.n, k=k))
+    bound = expected_risk_bound(1, sigma, M, grid.n, k)
     assert np.mean(errs) <= bound.value

@@ -610,5 +610,5 @@ def test_linf_stability_bound_on_planted_instance():
     rep = solve_qcqp(prob)
     cert = tightness_verdict(prob, rep.ghat)
     assert cert.tight  # certifies rep.ghat is the unique global solution
-    bound = linf_error_bound(delta, lam, graph.max_degree, edge_smoothness(h, graph))
+    bound = linf_error_bound(delta, lam * graph.max_degree, edge_smoothness(h, graph))
     assert float(np.max(np.abs(rep.ghat - h))) ** 2 <= bound + 1e-8

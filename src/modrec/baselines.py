@@ -84,9 +84,11 @@ def conjugate_gradient(apply_A, b: np.ndarray, x0=None, precondition=None):
     if b_norm == 0.0:
         return np.zeros_like(b), 0
     max_iter = 10 * max(b.size, 50)
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         if np.sqrt(rs) <= CG_TOL * b_norm:
-            return x, it - 1
+            return x, it
+        if it == max_iter:
+            raise NumericError(f"conjugate gradients stalled at relative residual {np.sqrt(rs) / b_norm:.3e}")
         Ap = apply_A(p)
         alpha = rz / float(np.real(np.vdot(p, Ap)))
         x = x + alpha * p
@@ -96,11 +98,6 @@ def conjugate_gradient(apply_A, b: np.ndarray, x0=None, precondition=None):
         rz_new = float(np.real(np.vdot(r, s)))
         p = s + (rz_new / rz) * p
         rz = rz_new
-    if np.sqrt(rs) <= CG_TOL * b_norm:
-        return x, max_iter
-    raise NumericError(
-        f"conjugate gradients stalled at relative residual {np.sqrt(rs) / b_norm:.3e}"
-    )
 
 
 def _identity(v):

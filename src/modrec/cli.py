@@ -5,8 +5,9 @@ identical results to direct calls.  A flag that mirrors a library parameter
 has no default of its own: an omitted flag is not passed, so the library
 default applies.  On a path ucqp and trs solve in the path's eigenbasis,
 with no conjugate gradients, so trs reports cg_iterations 0 there; on a
-radius-1 grid (--graph 1, d >= 2) their conjugate gradients are
-preconditioned by the grid's axis edges, and on any other graph plain.
+radius-1 grid (--graph knn-grid:1 on a d >= 2 field) their conjugate
+gradients are preconditioned by the grid's axis edges, and on any other
+graph plain.
 
 Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
 is reported before any file is read), 2 data/format error, 3 numeric failure

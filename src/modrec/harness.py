@@ -172,7 +172,6 @@ def _resolve_function(function, d: int):
 class SyntheticData:
     truth: GridField
     noisy_mod: GridField
-    spec: SyntheticSpec
 
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
@@ -191,7 +190,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     return SyntheticData(
         truth=GridField(grid, truth, kind="real"),
         noisy_mod=GridField(grid, noisy, kind="mod1"),
-        spec=spec,
     )
 
 

@@ -477,6 +477,10 @@ def random_mod1_field(grid: UniformGrid, rng) -> GridField:
     return GridField(grid, rng.uniform(0.0, 1.0, size=grid.shape), kind="mod1")
 
 
+def random_torus(rng, n: int) -> np.ndarray:
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240831)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import relabelled_path, trs_dense
+from conftest import random_torus, relabelled_path, trs_dense
 from modrec import baselines
 from modrec.baselines import HardCaseError, lambda_schedule, solve_trs, solve_ucqp
 from modrec.circle import circle_embed
@@ -9,16 +9,10 @@ from modrec.graphs import GraphSpec, grid_graph, path_graph, quadratic_form
 from modrec.harness import PlantedFunction, SyntheticSpec, generate
 from modrec.qcqp import QcqpProblem, objective, solve_qcqp
 
-TWO_PI = 2.0 * np.pi
-
-
-def _random_torus(rng, n):
-    return np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
-
 
 def test_ucqp_lam0_identity():
     rng = np.random.default_rng(81)
-    z = _random_torus(rng, 6)
+    z = random_torus(rng, 6)
     r = solve_ucqp(z, path_graph(6), 0.0)
     assert np.array_equal(r.raw, z)
 
@@ -42,7 +36,7 @@ def test_ucqp_against_direct_solve():
 def test_ucqp_residual_invariant_random():
     rng = np.random.default_rng(82)
     for n, lam in ((10, 0.5), (50, 3.0), (200, 12.6), (1, 0.7), (2, 1.3)):
-        z = _random_torus(rng, n)
+        z = random_torus(rng, n)
         r = solve_ucqp(z, path_graph(n), lam)
         assert r.residual_inf <= 1e-10 * np.max(np.abs(z))
         direct = np.linalg.solve(np.eye(n) + lam * path_graph(n).laplacian(), z)
@@ -53,7 +47,7 @@ def test_ucqp_relaxation_dominates_torus_points():
     rng = np.random.default_rng(83)
     n = 12
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     lam = 0.4
 
     def full_objective(g):
@@ -62,14 +56,14 @@ def test_ucqp_relaxation_dominates_torus_points():
     r = solve_ucqp(z, graph, lam)
     base = full_objective(r.raw)
     for _ in range(25):
-        assert base <= full_objective(_random_torus(rng, n)) + 1e-10
+        assert base <= full_objective(random_torus(rng, n)) + 1e-10
     rep = solve_qcqp(QcqpProblem(z=z, graph=graph, lam=lam))
     assert base <= full_objective(rep.ghat) + 1e-10
 
 
 def test_trs_lam0_identity():
     rng = np.random.default_rng(84)
-    z = _random_torus(rng, 7)
+    z = random_torus(rng, 7)
     r = solve_trs(z, path_graph(7), 0.0)
     assert r.mu == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(r.raw - z)) < 1e-10
@@ -98,10 +92,18 @@ def test_constant_signal_on_a_grid():
     assert iters == 0 and not np.any(x)
 
 
+def test_conjugate_gradient_raises_at_its_iteration_cap():
+    # 200 eigenvalues over 8 decades: the residual is still above CG_TOL after
+    # the cap of 10 * 200 iterations.
+    d = np.logspace(0, 8, 200)
+    with pytest.raises(baselines.NumericError, match="conjugate gradients stalled"):
+        baselines.conjugate_gradient(lambda v: d * v, np.ones(200))
+
+
 def test_trs_feasibility_and_stationarity():
     rng = np.random.default_rng(85)
     graph = path_graph(4)
-    z = _random_torus(rng, 4)
+    z = random_torus(rng, 4)
     r = solve_trs(z, graph, 0.5)
     assert abs(r.norm_sq - 4.0) <= 1e-8
     assert r.stationarity_inf <= 1e-8
@@ -112,7 +114,7 @@ def test_trs_relaxes_torus_objective():
     rng = np.random.default_rng(86)
     n = 9
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     lam = 0.3
     prob = QcqpProblem(z=z, graph=graph, lam=lam)
     rep = solve_qcqp(prob)
@@ -198,6 +200,18 @@ def test_trs_zero_constant_component_on_a_grid(shape):
         solve_trs(z, graph, 2.0)
 
 
+def test_trs_midpoint_steps_on_a_nearly_constant_signal():
+    # z within about 1e-3 rad of a constant and lam = 1e8 leave phi near
+    # 1e-19, far below n * eps: the model root rounds to lo = |c| at every
+    # step, and the search takes the midpoint of the bracket instead.  It
+    # still meets the secular tolerance and the dense oracle.
+    graph = path_graph(30)
+    z = np.exp(1e-3j * np.random.default_rng(0).standard_normal(30))
+    r = solve_trs(z, graph, 1e8)
+    assert abs(r.norm_sq - 30) <= 1e-10 * 30
+    assert np.max(np.abs(r.raw - trs_dense(graph, z, 1e8))) <= 1e-9
+
+
 @pytest.mark.parametrize("m", [16, 32, 64])
 def test_grid_cg_iterations_do_not_grow_with_m(m):
     # Plain CG took 60, 116 and 217 UCQP iterations here, and 51, 101 and
@@ -241,7 +255,7 @@ def test_trs_on_a_grid_without_axis_preconditioner():
     assert graph._axis_eigenbasis is None
     rng = np.random.default_rng(5)
     checkerboard = _alternating((6, 6))[1]
-    for z, lam, evaluations in ((_random_torus(rng, graph.n), 0.7, 5), (checkerboard, 0.02, 6)):
+    for z, lam, evaluations in ((random_torus(rng, graph.n), 0.7, 5), (checkerboard, 0.02, 6)):
         r = solve_trs(z, graph, lam)
         assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n
         assert r.cg_iterations > 0 and r.bisect_iterations + 1 <= evaluations
@@ -290,7 +304,7 @@ def test_trs_matches_dense_oracle_sweep():
         else:
             graph = path_graph(int(rng.integers(3, 101))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, 11)))
         lam = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        z = _random_torus(rng, graph.n)
+        z = random_torus(rng, graph.n)
         r = solve_trs(z, graph, lam)
         assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n, k
         assert np.max(np.abs(r.raw - trs_dense(graph, z, lam))) <= 1e-9, k
@@ -329,7 +343,7 @@ def test_trs_counts_every_cg_iteration(monkeypatch):
 
     monkeypatch.setattr(baselines, "conjugate_gradient", counting)
     rng = np.random.default_rng(89)
-    graph, z, _ = relabelled_path(_random_torus(rng, 30), 89)
+    graph, z, _ = relabelled_path(random_torus(rng, 30), 89)
     r = solve_trs(z, graph, 2.0)
     assert r.cg_iterations == sum(counted) > 0
     assert r.bisect_iterations == len(counted) - 1  # secular evaluations after the first
@@ -372,7 +386,7 @@ def test_methods_are_reproducible():
     rng = np.random.default_rng(87)
     n = 15
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     a = solve_ucqp(z, graph, 1.1)
     b = solve_ucqp(z, graph, 1.1)
     assert np.array_equal(a.raw, b.raw) and np.array_equal(a.signal, b.signal)

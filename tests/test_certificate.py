@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_verdict, kkt_check, lift_gram
+from conftest import dense_verdict, kkt_check, lift_gram, random_torus
 from modrec import certificate, linalg
 from modrec.certificate import (
     apriori_tightness_conditions,
@@ -17,10 +17,6 @@ from modrec.linalg import hermitian_eig
 from modrec.qcqp import QcqpProblem, objective, riemannian_grad, solve_qcqp
 
 TWO_PI = 2.0 * np.pi
-
-
-def _random_torus(rng, n):
-    return np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
 
 
 def _schur_test(prob, g):
@@ -45,7 +41,7 @@ def _random_instance(rng, k, lam_range, path_end=30, grid_end=6):
     """A random torus signal on a path (even k) or a square grid (odd k);
     sizes are drawn below path_end nodes and grid_end points per axis."""
     graph = path_graph(int(rng.integers(6, path_end))) if k % 2 == 0 else grid_graph(2, int(rng.integers(3, grid_end)))
-    return QcqpProblem(z=_random_torus(rng, graph.n), graph=graph, lam=float(rng.uniform(*lam_range)))
+    return QcqpProblem(z=random_torus(rng, graph.n), graph=graph, lam=float(rng.uniform(*lam_range)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +93,7 @@ def test_lift_matrix_structure():
     rng = np.random.default_rng(63)
     n = 4
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     T0 = lift_matrix(0.0, graph.laplacian(), z)
     assert np.allclose(T0[:n, :n], 0.0)
     assert np.allclose(T0[:n, n], -z)
@@ -112,8 +108,8 @@ def test_lift_trace_identity():
     for _ in range(5):
         n = 6
         graph = path_graph(n)
-        z = _random_torus(rng, n)
-        g = _random_torus(rng, n)
+        z = random_torus(rng, n)
+        g = random_torus(rng, n)
         lam = rng.uniform(0, 1)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
         T = lift_matrix(lam, graph.laplacian(), z)
@@ -125,7 +121,7 @@ def test_dual_certificate_lam0_block_values():
     rng = np.random.default_rng(65)
     n = 5
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     S = dual_certificate(z, 0.0, graph.laplacian(), z)
     assert np.allclose(S[:n, :n], np.eye(n), atol=1e-12)
     assert np.allclose(S[:n, n], -z)
@@ -136,8 +132,8 @@ def test_dual_certificate_minus_lift_is_real_diagonal_for_any_g():
     rng = np.random.default_rng(66)
     n = 6
     graph = path_graph(n)
-    z = _random_torus(rng, n)
-    g = _random_torus(rng, n)  # arbitrary, not critical
+    z = random_torus(rng, n)
+    g = random_torus(rng, n)  # arbitrary, not critical
     L = graph.laplacian()
     T = lift_matrix(0.3, L, z)
     S = dual_certificate(g, 0.3, L, z)
@@ -150,7 +146,7 @@ def test_dual_certificate_two_constructions_agree_at_critical_points():
     # The dense definition of S and the edge-list Schur block A = S[:n, :n].
     for graph, lam in ((path_graph(10), 0.04), (grid_graph(2, 4), 0.7), (grid_graph(2, 3, 2), 2.0)):
         n = graph.n
-        z = _random_torus(np.random.default_rng([67, n]), n)
+        z = random_torus(np.random.default_rng([67, n]), n)
         rep = solve_qcqp(QcqpProblem(z=z, graph=graph, lam=lam))
         assert rep.converged
         S = dual_certificate(rep.ghat, lam, graph.laplacian(), z)
@@ -170,10 +166,10 @@ def test_dual_certificate_two_constructions_agree_at_critical_points():
 def test_kkt_gram_feasibility():
     rng = np.random.default_rng(68)
     n = 5
-    g = _random_torus(rng, n)
+    g = random_torus(rng, n)
     X = lift_gram(g)
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     T = lift_matrix(0.1, graph.laplacian(), z)
     S = dual_certificate(g, 0.1, graph.laplacian(), z)
     report = kkt_check(X, S, T)
@@ -184,7 +180,7 @@ def test_kkt_all_pass_at_lam0():
     rng = np.random.default_rng(69)
     n = 6
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     T = lift_matrix(0.0, graph.laplacian(), z)
     S = dual_certificate(z, 0.0, graph.laplacian(), z)
     report = kkt_check(lift_gram(z), S, T)
@@ -195,8 +191,8 @@ def test_kkt_complementarity_fails_off_critical():
     rng = np.random.default_rng(70)
     n = 6
     graph = path_graph(n)
-    z = _random_torus(rng, n)
-    g = _random_torus(rng, n)
+    z = random_torus(rng, n)
+    g = random_torus(rng, n)
     T = lift_matrix(0.2, graph.laplacian(), z)
     S = dual_certificate(g, 0.2, graph.laplacian(), z)
     report = kkt_check(lift_gram(g), S, T)
@@ -211,7 +207,7 @@ def test_verdict_lam0_always_tight():
     rng = np.random.default_rng(71)
     n = 6
     graph = path_graph(n)
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     prob = QcqpProblem(z=z, graph=graph, lam=0.0)
     cert = tightness_verdict(prob, z)
     # A = I up to the rounding of |z_i|^2
@@ -365,10 +361,10 @@ def test_verdict_decides_on_the_real_schur_block(monkeypatch):
 def test_verdict_requires_critical_point():
     rng = np.random.default_rng(74)
     n = 5
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     prob = QcqpProblem(z=z, graph=path_graph(n), lam=0.3)
     with pytest.raises(ValueError):
-        tightness_verdict(prob, _random_torus(rng, n))
+        tightness_verdict(prob, random_torus(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +383,19 @@ def test_apriori_conditions_examples():
     assert r.cond1 and r.cond2 and r.ok
     with pytest.raises(ValueError):
         apriori_tightness_conditions(2.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lift_matrix(1.0, np.eye(3), np.ones(4)), "Laplacian shape does not match signal length"),
+        (lambda: apriori_tightness_conditions(0.1, 0.1, 2.5), r"smoothness must lie in \[0, 2\]"),
+    ],
+    ids=["lift_shape", "apriori_smoothness"],
+)
+def test_certificate_checks_its_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_empirical_condition_examples():

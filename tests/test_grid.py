@@ -25,6 +25,9 @@ def test_floor_root_around_powers(d):
             t = floor_root(k, d)
             assert t ** d <= k < (t + 1) ** d
         assert floor_root(s ** d, d) == s
+    # Past 2^55 the float seed of s**d can round below s, and the search walks up.
+    s = 2 ** 55 + 1
+    assert floor_root(s ** d, d) == s and floor_root(s ** d - 1, d) == s - 1
     with pytest.raises(ValueError):
         floor_root(-1, d)
 
@@ -44,6 +47,8 @@ def test_gridfield_validation():
         GridField(g, [0.0, 0.1, 0.2], kind="real")
     with pytest.raises(ValueError):
         GridField(g, [0.0, np.nan, 0.2, 0.3], kind="real")
+    with pytest.raises(ValueError, match="unknown field kind 'complex'"):
+        GridField(g, [0.0, 0.1, 0.2, 0.3], kind="complex")
     f = GridField.from_flat(g, [1.0, 2.0, 3.0, 4.0])
     assert f.values.shape == (4,)
     with pytest.raises(ValueError):

@@ -103,6 +103,30 @@ def test_planted_function_rejects_unusable_parameters(args, message):
         PlantedFunction(*args)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SyntheticSpec("example3", d=1, m=8, sigma=0.0, seed=0), ValueError, "unknown function spec 'example3'"),
+        (
+            lambda: generate(SyntheticSpec(lambda p: np.zeros(3), d=1, m=8, sigma=0.0, seed=0)),
+            ValueError,
+            "function did not evaluate to one value per grid point",
+        ),
+        (
+            lambda: align(GridField(UniformGrid(1, 4), np.zeros(4)), GridField(UniformGrid(1, 5), np.zeros(5))),
+            ValueError,
+            "fields live on different grids",
+        ),
+        (lambda: McSummary(McConfig(), ()).cell(64, "knn"), KeyError, "no cell for n=64, method=knn"),
+        (lambda: elevation_demo(np.zeros((1, 1))), ValueError, "elevation must be at least 2 x 2"),
+    ],
+    ids=["unknown_function", "function_shape", "align_grids", "missing_cell", "elevation_size"],
+)
+def test_harness_checks_its_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_planted_truth_per_axis_equals_pointwise_call_bytewise():
     # generate evaluates a planted function once per axis; every value must
     # be the bytes that the pointwise call on the mesh gives.

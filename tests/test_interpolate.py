@@ -105,6 +105,8 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         evaluate(model, np.array([-0.1]))
     assert evaluate(model, np.array([1.0])) == 0.0  # boundary included
+    with pytest.raises(ValueError, match="points must have 1 coordinates"):
+        evaluate(model, np.array([0.5, 0.5]))
     # Every comparison with NaN is false: a NaN coordinate is outside too.
     model = fit(GridField(UniformGrid(2, 4), np.zeros((4, 4))))
     for x in ([np.nan, 0.5], [[0.5, 0.5], [0.5, np.nan]]):

@@ -293,6 +293,10 @@ def test_choose_k_sup_norm_monotone_and_condition():
     practical = choose_k_practical(1000, 1, 0.09)
     assert sel.k == 19 and practical == 18
     assert sel.sample_condition_ok
+    # k* >= log n, the simplification behind the rule, holds at k* = 102 and
+    # fails at M = 1e6, where k* = 0.0102.
+    assert choose_k_sup_norm(1, 0.12, 1.0, 1000).k_star_at_least_log_n
+    assert not choose_k_sup_norm(1, 0.12, 1e6, 1000).k_star_at_least_log_n
 
 
 def test_choose_k_practical_examples():
@@ -312,6 +316,22 @@ def test_bandwidth_rules_name_non_finite_inputs(bad):
             rule(1, bad, 1.0, 1000)
         with pytest.raises(ValueError, match=f"M must be a finite number above 0, got {bad}"):
             rule(1, 0.1, bad, 1000)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: choose_k_expected_risk(1, 0.1, 1.0, 0), "n must be >= 1"),
+        (lambda: choose_k_sup_norm(1, 0.1, 1.0, 1), "n must be >= 2"),
+        (lambda: choose_k_practical(1, 1, 0.09), "n must be >= 2"),
+        (lambda: expected_risk_bound(1, 0.1, 1.0, 10, 0), "invalid risk-bound inputs"),
+        (lambda: sup_error_scale(1, 0.1, 1.0, 1), "n must be >= 2"),
+    ],
+    ids=["expected_risk_n", "sup_norm_n", "practical_n", "risk_bound_k", "sup_error_scale_n"],
+)
+def test_knn_rules_and_bounds_check_n_and_k(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _sup_norm_k(d, sigma, M, n):

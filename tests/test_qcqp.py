@@ -5,6 +5,7 @@ from conftest import (
     adjacency_apply_edgewise,
     brute_force_min_n3,
     graph_edges_brute,
+    random_torus,
     relabelled_path,
     solve_qcqp_reference,
 )
@@ -33,10 +34,6 @@ from modrec.qcqp import (
 TWO_PI = 2.0 * np.pi
 
 
-def _random_torus(rng, n):
-    return np.exp(1j * rng.uniform(0.0, TWO_PI, size=n))
-
-
 # ---------------------------------------------------------------------------
 # Graphs
 
@@ -54,6 +51,20 @@ def test_graph_validation():
     assert g.max_degree == 2 and g.degrees.tolist() == [1, 2, 2, 1]
     gg = grid_graph(2, 3, radius=1)
     assert gg.n == 9 and gg.max_degree == 8
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GraphSpec(n=0, edges=()), "graph must have at least one vertex"),
+        (lambda: grid_graph(2, 3, radius=0), "radius must be >= 1"),
+        (lambda: edge_smoothness(np.ones(3), path_graph(4)), r"signal length \(3,\) does not match n = 4"),
+    ],
+    ids=["no_vertex", "radius_0", "signal_length"],
+)
+def test_graphs_check_their_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_laplacian_apply_examples():
@@ -283,7 +294,7 @@ def test_graph_connectivity_under_relabelling():
 def test_objective_examples():
     rng = np.random.default_rng(42)
     n = 5
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     prob0 = QcqpProblem(z=z, graph=path_graph(n), lam=0.0)
     assert objective(prob0, z) == pytest.approx(-2.0 * n, rel=1e-12)
     zc = np.ones(4, dtype=complex)
@@ -304,8 +315,8 @@ def test_two_objective_forms_agree():
     for _ in range(5):
         n = 6
         graph = path_graph(n)
-        z = _random_torus(rng, n)
-        g = _random_torus(rng, n)
+        z = random_torus(rng, n)
+        g = random_torus(rng, n)
         lam = rng.uniform(0, 2)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
         full = float(np.sum(np.abs(g - z) ** 2)) + lam * quadratic_form(graph, g)
@@ -315,8 +326,8 @@ def test_two_objective_forms_agree():
 def test_global_phase_is_not_a_symmetry():
     rng = np.random.default_rng(44)
     n = 6
-    z = _random_torus(rng, n)
-    g = _random_torus(rng, n)
+    z = random_torus(rng, n)
+    g = random_torus(rng, n)
     prob = QcqpProblem(z=z, graph=path_graph(n), lam=0.3)
     rotated = objective(prob, np.exp(1j * 0.7) * g)
     assert abs(rotated - objective(prob, g)) > 1e-3
@@ -324,7 +335,7 @@ def test_global_phase_is_not_a_symmetry():
 
 def test_tangent_project():
     rng = np.random.default_rng(45)
-    g = _random_torus(rng, 7)
+    g = random_torus(rng, 7)
     assert np.max(np.abs(tangent_project(g, g))) < 1e-14
     assert np.max(np.abs(tangent_project(g, 1j * g) - 1j * g)) < 1e-14
     v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -335,7 +346,7 @@ def test_tangent_project():
 
 def test_riemannian_grad_zeros():
     rng = np.random.default_rng(46)
-    z = _random_torus(rng, 5)
+    z = random_torus(rng, 5)
     prob = QcqpProblem(z=z, graph=path_graph(5), lam=0.0)
     assert np.max(np.abs(riemannian_grad(prob, z))) < 1e-14
     h = np.full(6, np.exp(1j * 0.4))
@@ -347,8 +358,8 @@ def test_riemannian_grad_matches_finite_differences():
     rng = np.random.default_rng(47)
     step = 1e-5
     for graph in (path_graph(4), grid_graph(2, 2)):
-        z = _random_torus(rng, graph.n)
-        g = _random_torus(rng, graph.n)
+        z = random_torus(rng, graph.n)
+        g = random_torus(rng, graph.n)
         lam = rng.uniform(0, 1)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
         grad = riemannian_grad(prob, g)
@@ -365,7 +376,7 @@ def test_riemannian_grad_matches_finite_differences():
 
 def test_hessian_explicit_case():
     rng = np.random.default_rng(48)
-    z = _random_torus(rng, 5)
+    z = random_torus(rng, 5)
     prob = QcqpProblem(z=z, graph=path_graph(5), lam=0.0)
     gdot = 1j * z
     out = hessian_apply(prob, z, gdot)
@@ -378,8 +389,8 @@ def test_hessian_symmetry_and_finite_differences():
     rng = np.random.default_rng(49)
     step = 1e-5
     for graph in (path_graph(5), grid_graph(2, 2)):
-        z = _random_torus(rng, graph.n)
-        g = _random_torus(rng, graph.n)
+        z = random_torus(rng, graph.n)
+        g = random_torus(rng, graph.n)
         prob = QcqpProblem(z=z, graph=graph, lam=rng.uniform(0, 1))
         u = tangent_project(g, rng.standard_normal(graph.n) + 1j * rng.standard_normal(graph.n))
         v = tangent_project(g, rng.standard_normal(graph.n) + 1j * rng.standard_normal(graph.n))
@@ -400,7 +411,7 @@ def test_hessian_symmetry_and_finite_differences():
 
 def test_hessian_rejects_non_tangent():
     rng = np.random.default_rng(50)
-    z = _random_torus(rng, 4)
+    z = random_torus(rng, 4)
     prob = QcqpProblem(z=z, graph=path_graph(4), lam=0.1)
     with pytest.raises(ValueError):
         hessian_apply(prob, z, z)  # radial, not tangent
@@ -408,8 +419,8 @@ def test_hessian_rejects_non_tangent():
 
 def test_hessian_tangency_check_scales_with_gdot():
     rng = np.random.default_rng(55)
-    g = _random_torus(rng, 30)
-    prob = QcqpProblem(z=_random_torus(rng, 30), graph=path_graph(30), lam=0.1)
+    g = random_torus(rng, 30)
+    prob = QcqpProblem(z=random_torus(rng, 30), graph=path_graph(30), lam=0.1)
     u = tangent_project(g, rng.standard_normal(30) + 1j * rng.standard_normal(30))
     big = 1e8 * u  # tangent; its radial part is rounding of order 1e-8
     assert np.max(np.abs(np.real(big * np.conj(g)))) > 1e-9
@@ -475,9 +486,15 @@ def test_solver_bitwise_equals_reference_loop(name, lam):
 
 def test_solver_trivial_cases():
     rng = np.random.default_rng(51)
-    z = _random_torus(rng, 6)
+    z = random_torus(rng, 6)
     rep = solve_qcqp(QcqpProblem(z=z, graph=path_graph(6), lam=0.0))
     assert rep.iterations == 0 and rep.converged
+    assert np.array_equal(rep.ghat, z)
+    # At lam*Delta = 2e21 the first step 1/(2(1 + 4 lam Delta)) is below the
+    # line search's 1e-20 floor: the search is exhausted and the descent
+    # stops at z, reported as not converged.
+    rep = solve_qcqp(QcqpProblem(z=z, graph=path_graph(6), lam=1e21))
+    assert rep.iterations == 0 and rep.backtracks == 0 and not rep.converged
     assert np.array_equal(rep.ghat, z)
     zc = np.full(5, np.exp(1j * 1.1))
     rep = solve_qcqp(QcqpProblem(z=zc, graph=path_graph(5), lam=3.0))
@@ -488,7 +505,7 @@ def test_solver_matches_brute_force_n3():
     rng = np.random.default_rng(52)
     graph = path_graph(3)
     for _ in range(3):
-        z = _random_torus(rng, 3)
+        z = random_torus(rng, 3)
         lam = rng.uniform(0, 0.2)
         prob = QcqpProblem(z=z, graph=graph, lam=lam)
         rep = solve_qcqp(prob)
@@ -499,7 +516,7 @@ def test_solver_matches_brute_force_n3():
 
 def test_solver_monotone_objective_and_tolerance():
     rng = np.random.default_rng(53)
-    z = _random_torus(rng, 12)
+    z = random_torus(rng, 12)
     prob = QcqpProblem(z=z, graph=path_graph(12), lam=0.2)
     rep = solve_qcqp(prob)
     assert rep.converged and rep.grad_inf_norm <= 1e-9
@@ -521,11 +538,11 @@ def test_solver_iterations_bounded_on_smooth_paths(n):
 
 def test_solver_counts_backtracks():
     rng = np.random.default_rng(54)
-    z = _random_torus(rng, 6)
+    z = random_torus(rng, 6)
     assert solve_qcqp(QcqpProblem(z=z, graph=path_graph(6), lam=0.0)).backtracks == 0
     # A stiff grid problem rejects some Barzilai-Borwein steps; each halving
     # is counted, and the descent still converges.
-    z = _random_torus(rng, 16)
+    z = random_torus(rng, 16)
     rep = solve_qcqp(QcqpProblem(z=z, graph=grid_graph(2, 4), lam=3.0))
     assert rep.converged and 0 < rep.backtracks
 
@@ -537,7 +554,7 @@ def test_solver_counts_backtracks():
 def test_verdict_at_lam0_on_the_data_itself():
     # At lam = 0 the data is the minimizer: no gradient, A = I, Re(z^* z) = n.
     rng = np.random.default_rng(54)
-    z = _random_torus(rng, 5)
+    z = random_torus(rng, 5)
     prob = QcqpProblem(z=z, graph=path_graph(5), lam=0.0)
     cert = tightness_verdict(prob, z)
     assert cert.tight and not cert.indeterminate
@@ -550,7 +567,7 @@ def test_verdict_at_lam0_on_the_data_itself():
 def test_solver_output_is_certified_tight():
     rng = np.random.default_rng(55)
     for graph in (path_graph(10), grid_graph(2, 3)):
-        z = _random_torus(rng, graph.n)
+        z = random_torus(rng, graph.n)
         prob = QcqpProblem(z=z, graph=graph, lam=0.05)
         rep = solve_qcqp(prob)
         assert rep.converged
@@ -559,7 +576,7 @@ def test_solver_output_is_certified_tight():
 
 def test_verdict_rejects_a_perturbed_point():
     rng = np.random.default_rng(56)
-    z = _random_torus(rng, 8)
+    z = random_torus(rng, 8)
     prob = QcqpProblem(z=z, graph=path_graph(8), lam=0.05)
     rep = solve_qcqp(prob)
     bad = rep.ghat.copy()
@@ -580,7 +597,7 @@ def _second_order_form(prob, g, u):
 def test_hessian_second_order_form():
     rng = np.random.default_rng(57)
     n = 7
-    z = _random_torus(rng, n)
+    z = random_torus(rng, n)
     graph = path_graph(n)
     prob = QcqpProblem(z=z, graph=graph, lam=0.04)
     rep = solve_qcqp(prob)

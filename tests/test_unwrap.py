@@ -38,6 +38,8 @@ def test_unwrap_1d_examples():
     for bad in ([0.1, 1.1], [0.1, np.nan, 0.2]):
         with pytest.raises(ValueError, match="mod1 field"):
             _unwrap_path(bad)
+    with pytest.raises(ValueError, match="unwrap_multid expects a mod1 field"):
+        unwrap_multid(GridField(UniformGrid(1, 2), [0.9, 0.1]))
 
 
 def test_unwrap_1d_linear_function_exact():

@@ -19,8 +19,8 @@ step target inside the bracket, whose ends move on the sign of an evaluated
 norm defect alone; solve_trs gives the model, a proof that its first step
 is a lower bound of the root, and why the search terminates.
 
-Both systems are Hermitian positive definite.  On a path they are diagonal
-in the Laplacian's eigenbasis, the orthonormal DCT-II
+Both systems are Hermitian positive definite.  On a path_graph they are
+diagonal in the Laplacian's eigenbasis, the orthonormal DCT-II
 (graphs.PathEigenbasis): the unconstrained solve is one division between
 two transforms, and each secular evaluation is a sum over the transformed
 z, with no linear solve.  On every other graph they are solved by
@@ -28,7 +28,8 @@ conjugate gradients (the graphs here are sparse neighborhoods).  On a
 radius-1 grid_graph(d, m), d >= 2, CG is preconditioned by the same system
 on the grid's axis edges alone, which the separable DCT-II diagonalises
 (graphs.GridAxisEigenbasis), so its iteration count does not grow with m
-(_axis_preconditioner says why); other graphs run plain CG.  Both
+(_axis_preconditioner says why); other graphs, explicit edges too, run
+plain CG: the structure is the lattice grid_graph declares.  Both
 solvers compute their reported residual from the edge list
 (graphs.laplacian_apply), whichever way they solved.  Both methods
 return the solution projected entrywise onto the circle, alongside the raw
@@ -106,7 +107,7 @@ def _identity(v):
 
 def _axis_preconditioner(graph: GraphSpec, lam: float, mu: float):
     """M^+ for M = lam*L_axis + mu*I on a radius-1 grid_graph(d, m), d >= 2;
-    None (M = I) on any other graph.
+    None (M = I) on any other graph, explicit-edge copies of one included.
 
     L_axis is the Laplacian of the grid's axis edges, diagonal in
     graphs.GridAxisEigenbasis, so M^+ is one transform each way and one
@@ -221,12 +222,14 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
       through the last two (with c = 0, the first is the hard-case check at
       mu = 0, and the step is the secant zero of psi = 1/||g||).
     The model root is a step target only.  When it is not strictly inside
-    (lo, hi), the next mu is the midpoint instead.  So the search
-    terminates: every step is a float strictly inside (lo, hi) that becomes
-    one of its ends, the bracket holds fewer floats after each step, and a
-    midpoint equal to an endpoint raises NumericError.  And since the ends
-    move on evaluated signs alone, rounding in the model cannot cut the
-    root out of the bracket.
+    (lo, hi), the next mu is lo if lo is still the unevaluated closed-form
+    end |c| > 0 (its norm defect is phi(|c|) >= 0, so the search stops
+    there or keeps |c| as an evaluated end), else the midpoint.  So the
+    search terminates: but for that one step, every step is a float
+    strictly inside (lo, hi) that becomes one of its ends, the bracket
+    holds fewer floats after each step, and a midpoint equal to an endpoint
+    raises NumericError.  And since the ends move on evaluated signs alone,
+    rounding in the model cannot cut the root out of the bracket.
 
     lam = 0 has the closed-form solution mu = 1, g = z (the input already
     lies on the sphere), returned exactly.
@@ -282,6 +285,7 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
             return x + c / mu  # x of the last evaluation, which is at mu
 
     lo, hi = abs(c), float(np.linalg.norm(z) / np.sqrt(n))
+    lo_unevaluated = lo > 0.0  # lo is the closed-form end |c|
     points = []  # (mu, phi(mu)) of the last two evaluations
     if c == 0.0:
         phi = centred_norm_sq(0.0)
@@ -296,15 +300,17 @@ def solve_trs(z: np.ndarray, graph: GraphSpec, lam: float) -> TrsResult:
         if abs(norm_sq - n) <= SECULAR_TOL * n:
             break
         if norm_sq > n:
-            lo = mu
+            lo, lo_unevaluated = mu, False
         else:
             hi = mu
         points = points[-1:] + [(mu, phi)]
         mu = _model_root(points, constant_sq, n, lo, hi)
-        if not lo < mu < hi:
+        if lo_unevaluated and not lo < mu < hi:
+            mu, lo_unevaluated = lo, False
+        elif not lo < mu < hi:
             mu = 0.5 * (lo + hi)
-        if not lo < mu < hi:
-            raise NumericError(f"secular root search stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
+            if not lo < mu < hi:
+                raise NumericError(f"secular root search stalled at mu = {mu!r}, defect {norm_sq - n:.3e}")
         iters += 1
 
     g = solution(mu)

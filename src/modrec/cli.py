@@ -3,16 +3,17 @@
 Every command is a thin adapter over the library: identical parameters give
 identical results to direct calls.  A flag that mirrors a library parameter
 has no default of its own: an omitted flag is not passed, so the library
-default applies.  On a path ucqp and trs solve in the path's eigenbasis,
-with no conjugate gradients, so trs reports cg_iterations 0 there; on a
-radius-1 grid (--graph knn-grid:1 on a d >= 2 field) their conjugate
-gradients are preconditioned by the grid's axis edges, and on any other
-graph plain.
+default applies.  The solver graphs come from path_graph and grid_graph:
+on a path ucqp and trs solve in the path's eigenbasis, with no conjugate
+gradients, so trs reports cg_iterations 0 there; on a radius-1 grid
+(--graph knn-grid:1 on a d >= 2 field) their conjugate gradients are
+preconditioned by the grid's axis edges, and on any other graph plain.
 
-Exit codes: 0 success, 1 usage error (a flag value out of range is one, and
-is reported before any file is read), 2 data/format error, 3 numeric failure
-(e.g. a sphere-relaxation hard case).  Give a negative value with "=", as in
---lambda=-inf: argparse reads "--lambda -inf" as a flag, not a value.
+Exit codes: 0 success, 1 usage error (a flag value out of range, or a flag
+the command as invoked does not read, reported before any file is read),
+2 data/format error, 3 numeric failure (e.g. a sphere-relaxation hard
+case).  Give a negative value with "=", as in --lambda=-inf: argparse
+reads "--lambda -inf" as a flag, not a value.
 rate exits 2 on a non-finite error, so "rate --report" on an mc cell whose
 trials all failed (NaN means) is a data error.
 """
@@ -22,13 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import baselines, certificate, fileio, harness, interpolate, knn, qcqp, unwrap
 from .circle import circle_arg, circle_embed
 from .graphs import grid_graph, path_graph
-from .grid import GridField
+from .grid import GridField, UniformGrid, mesh_points
 
 
 class UsageError(Exception):
@@ -164,8 +166,8 @@ def _build_parser() -> _Parser:
     ra.add_argument("--ns", type=_csv(int))
     ra.add_argument("--errors", type=_csv(float))
     ra.add_argument("--report", help="mc JSON report to read instead of --ns/--errors")
-    ra.add_argument("--method", default="knn")
-    ra.add_argument("--metric", choices=harness.METRIC_NAMES, default="wrap_sup_denoised")
+    ra.add_argument("--method", help="default knn")
+    ra.add_argument("--metric", choices=harness.METRIC_NAMES, help="default wrap_sup_denoised")
 
     de = sub.add_parser(
         "demo-elevation", help="terrain recovery demo from a plain-text elevation grid"
@@ -185,19 +187,36 @@ def _add_k_flags(cmd):
     k.add_argument("--k", type=_at_least(1))
     k.add_argument("--k-rule", choices=["expected", "supnorm", "practical"])
     cmd.add_argument("--C", type=_finite(0.0, strict=True))
-    cmd.add_argument("--sigma", type=_finite(0.0), default=0.12)
-    cmd.add_argument("--M", type=_finite(0.0, strict=True), default=1.0)
+    cmd.add_argument("--sigma", type=_finite(0.0), help="default 0.12")
+    cmd.add_argument("--M", type=_finite(0.0, strict=True), help="default 1.0")
+
+
+def _reject_unread(args):
+    """A given flag that the command, as invoked, does not read is a usage error."""
+    context, unread = "", ()
+    if args.command in ("denoise", "recover"):
+        context = "with --k" if args.k_rule is None else f"with --k-rule {args.k_rule}"
+        unread = {None: ("C", "sigma", "M"), "practical": ("sigma", "M")}.get(args.k_rule, ("C",))
+    elif args.command == "interp" and not args.resample:
+        context, unread = "without --resample", ("out",)
+    elif args.command == "rate":
+        context = "with --report" if args.report else "without --report"
+        unread = ("ns", "errors") if args.report else ("method", "metric")
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} not read {context}")
 
 
 def _choose_k(args, field: GridField) -> int:
     n, d = field.grid.n, field.grid.d
     if args.k is not None:
         return args.k
+    if args.k_rule == "practical":
+        return knn.choose_k_practical(n, d=d, **_given(C=args.C))
+    sigma, M = 0.12 if args.sigma is None else args.sigma, 1.0 if args.M is None else args.M
     if args.k_rule == "expected":
-        return knn.choose_k_expected_risk(d, args.sigma, args.M, n)
-    if args.k_rule == "supnorm":
-        return knn.choose_k_sup_norm(d, args.sigma, args.M, n).k
-    return knn.choose_k_practical(n, d=d, **_given(C=args.C))
+        return knn.choose_k_expected_risk(d, sigma, M, n)
+    return knn.choose_k_sup_norm(d, sigma, M, n).k
 
 
 def _emit(payload: dict):
@@ -205,6 +224,7 @@ def _emit(payload: dict):
 
 
 def _run(args) -> int:
+    _reject_unread(args)
     if args.command == "gen":
         try:
             spec = harness.SyntheticSpec(
@@ -230,14 +250,7 @@ def _run(args) -> int:
         field = fileio.read_field(args.inp)
         result = unwrap.unwrap_multid(field)
         fileio.write_field(args.out, result.field)
-        _emit(
-            {
-                "itoh_margin": result.itoh_margin,
-                "no_jump": result.branch_counts.no_jump,
-                "plus_one": result.branch_counts.plus_one,
-                "minus_one": result.branch_counts.minus_one,
-            }
-        )
+        _emit({"itoh_margin": result.itoh_margin, **asdict(result.branch_counts)})
         return 0
 
     if args.command == "recover":
@@ -260,8 +273,6 @@ def _run(args) -> int:
             x = _csv(float)(spec)
             values[spec] = interpolate.evaluate(model, np.array(x))
         if args.resample:
-            from .grid import UniformGrid, mesh_points
-
             fine = UniformGrid(d=field.grid.d, m=args.resample)
             vals = interpolate.evaluate(model, mesh_points(fine))
             fileio.write_field(args.out, GridField(fine, vals, kind="real"))
@@ -341,12 +352,14 @@ def _run(args) -> int:
 
     if args.command == "rate":
         if args.report:
+            method = "knn" if args.method is None else args.method
+            metric = "wrap_sup_denoised" if args.metric is None else args.metric
             doc = fileio.read_report(args.report)
             try:
                 pairs = [
-                    (cell["n"], cell["means"][args.metric])
+                    (cell["n"], cell["means"][metric])
                     for cell in doc["cells"]
-                    if cell["method"] == args.method
+                    if cell["method"] == method
                 ]
             except (KeyError, TypeError):
                 raise fileio.FormatError(

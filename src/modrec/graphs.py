@@ -8,10 +8,11 @@ edge list so that large sparse graphs never require a dense matrix.  The
 apply is one scatter over both edge directions, which sums each vertex's
 neighbours in one fixed order: +0, then the neighbours j > i ascending,
 then the neighbours j < i ascending, so its floats are bit-identical to a
-sum edge by edge.  A path carries the eigenbasis of its Laplacian
+sum edge by edge.  A path_graph carries the eigenbasis of its Laplacian
 (PathEigenbasis), in which the relaxations of baselines solve directly; a
-radius-1 grid in d >= 2 carries that of its axis edges' Laplacian
-(GridAxisEigenbasis), which preconditions their conjugate gradients.
+radius-1 grid_graph in d >= 2 carries that of its axis edges' Laplacian
+(GridAxisEigenbasis), which preconditions their conjugate gradients.  Both
+are read from the lattice grid_graph records; explicit edges carry neither.
 Dense W and L are available for small n: the dense lift of the certificate
 and the tests use them, while the tightness verdict builds its matrix from
 the edge list.
@@ -20,22 +21,21 @@ the edge list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-
-from .grid import floor_root
 
 
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
     """Connected graph; edges is any sequence of vertex pairs or an (E, 2)
-    array, validated and stored as the module docstring says.  Equality and
-    hashing are by identity."""
+    array, validated and stored as the module docstring says.  lattice is
+    grid_graph's (d, m, r), else None.  Equality and hashing are by identity."""
 
     n: int
     edges: np.ndarray
+    lattice: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,28 +66,15 @@ class GraphSpec:
 
     @cached_property
     def _path_eigenbasis(self) -> PathEigenbasis | None:
-        """The DCT eigenbasis of the Laplacian if the graph is a path, else None."""
-        # The graph is connected, so if every edge joins i and i + 1, every
-        # such edge is present and the edges are exactly (i, i + 1), i < n - 1.
-        ei, ej = self._edge_arrays
-        return PathEigenbasis(self.n) if np.all(ej - ei == 1) else None
+        """The DCT eigenbasis of the Laplacian if the lattice is a path, else None."""
+        d, _, r = self.lattice or (0, 0, 0)
+        return PathEigenbasis(self.n) if d == 1 and r <= 1 else None  # r = 0: one vertex
 
     @cached_property
     def _axis_eigenbasis(self) -> GridAxisEigenbasis | None:
-        """The eigenbasis of the Laplacian of the axis edges if the graph is
-        grid_graph(d, m) of radius 1 with d >= 2, else None."""
-        # Each m^d = n with m >= 2 is tried.  Edges are distinct, so if every
-        # one joins multi-indices at Chebyshev distance 1 and there are as
-        # many as such pairs, ((3m - 2)^d - m^d) / 2, they are all of them.
-        ei, ej = self._edge_arrays
-        for d in range(2, self.n.bit_length()):
-            m = floor_root(self.n, d)
-            if m ** d != self.n or 2 * len(ei) != (3 * m - 2) ** d - self.n:
-                continue
-            offsets = np.abs(np.array(np.unravel_index(ej, (m,) * d)) - np.unravel_index(ei, (m,) * d))
-            if np.all(offsets <= 1):
-                return GridAxisEigenbasis(d, m)
-        return None
+        """The axis edges' Laplacian eigenbasis if the lattice is a radius-1 grid, d >= 2, else None."""
+        d, m, r = self.lattice or (0, 0, 0)
+        return GridAxisEigenbasis(d, m) if d >= 2 and r == 1 else None
 
     @cached_property
     def _scatter(self):
@@ -215,18 +202,25 @@ def grid_graph(d: int, m: int, radius: int = 1) -> GraphSpec:
     """Neighborhood graph on the m^d grid: vertices are lexicographic ranks,
     edges join multi-indices at Chebyshev distance <= radius.  Max degree is
     (2*radius + 1)^d - 1 away from the boundary.  Each offset o in the
-    positive half of {-r..r}^d pairs two slices of the rank array, a and a + o."""
+    positive half of {-r..r}^d pairs two slices of the rank array, a and a + o.
+    The graph records its lattice (d, m, r), r = min(radius, m - 1), save
+    that the complete graph on n = 2^k vertices (r = m - 1) is built as
+    (k, 2, 1), or as the path (1, n, n - 1) when n <= 2."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    ranks = np.arange(m ** d).reshape((m,) * d)
-    r = min(radius, m - 1)
+    n, r = m ** d, min(radius, m - 1)
+    if r == m - 1 and n & (n - 1) == 0:
+        d, m, r = max(n.bit_length() - 1, 1), min(n, 2), min(n - 1, 1)
+    ranks = np.arange(n).reshape((m,) * d)
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for off in itertools.product(range(-r, r + 1), repeat=d):
         if off > (0,) * d:
             a = ranks[tuple(slice(max(0, -o), m - max(0, o)) for o in off)]
             b = ranks[tuple(slice(max(0, o), m - max(0, -o)) for o in off)]
             pairs.append(np.stack([a.ravel(), b.ravel()], axis=1))
-    return GraphSpec(n=m ** d, edges=np.concatenate(pairs))
+    graph = GraphSpec(n=n, edges=np.concatenate(pairs))
+    object.__setattr__(graph, "lattice", (d, m, r))
+    return graph
 
 
 def adjacency_apply(graph: GraphSpec, g: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines
 from .circle import circle_arg, circle_embed, mod1, wrap_distance
 from .graphs import grid_graph
-from .grid import GridField, UniformGrid, floor_root, mesh_points
+from .grid import GridField, UniformGrid, floor_root
 from .knn import DenoiseResult, choose_k_practical, denoise
 from .unwrap import ItohReport, UnwrapResult, itoh_check, unwrap_multid
 
@@ -78,7 +78,7 @@ class PlantedFunction:
     f(x) = offset + sum_j amp_j * sin(2*pi*freq_j*x_j + phase_j); the l-inf
     Lipschitz constant is sum_j 2*pi*freq_j*|amp_j|.  The three tuples hold
     one finite entry per axis and the offset is finite; anything else is
-    rejected when built.  on_grid evaluates each term once per axis
+    rejected when built.  on_axes evaluates each term once per axis
     coordinate, bitwise equal to calling f on every grid point.
     """
 
@@ -115,15 +115,14 @@ class PlantedFunction:
             out = out + a * np.sin(2.0 * np.pi * f * pts[..., j] + p)
         return out
 
-    def on_grid(self, grid: UniformGrid) -> np.ndarray:
-        """f on every point of grid, as an array of grid.shape.
+    def on_axes(self, x: np.ndarray) -> np.ndarray:
+        """f on the grid whose axes all have the coordinates x, shape (x.size,) * d.
 
-        Term j is computed on the m axis coordinates and broadcast along axis
+        Term j is computed on the axis coordinates and broadcast along axis
         j; the terms are added in __call__'s order, so every value sees the
         same floating-point operations as __call__(mesh_points(grid)).
         """
-        x = grid.axis_coords()
-        out = np.full(grid.shape, self.offset)
+        out = np.full((x.size,) * self.d, self.offset)
         for j, (a, f, p) in enumerate(zip(self.amplitudes, self.frequencies, self.phases)):
             term = a * np.sin(2.0 * np.pi * f * x + p)
             out = out + term.reshape((-1,) + (1,) * (self.d - 1 - j))
@@ -135,37 +134,36 @@ class SyntheticSpec:
     """What to generate: a named function or a planted one, grid, noise, seed.
     A spec that generate could not use is rejected when built."""
 
-    function: object  # "example1" | "example2" | PlantedFunction | callable
+    function: object  # "example1" | "example2" | PlantedFunction
     d: int
     m: int
     sigma: float
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
+        _check_sigma(self.sigma)
         UniformGrid(self.d, self.m)
         _resolve_function(self.function, self.d)
 
 
+def _check_sigma(sigma):
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+
+
 def _resolve_function(function, d: int):
-    """The callable on (..., d) arrays that a function spec names; raises
-    ValueError for an unknown spec or one whose dimension is not d."""
-    if function == "example1":
-        if d != 1:
-            raise ValueError("example1 is univariate")
-        return lambda p: example1(p[..., 0])
-    if function == "example2":
-        if d != 1:
-            raise ValueError("example2 is univariate")
-        return lambda p: example2(p[..., 0])
+    """The truth that a function spec names, as a map from the axis
+    coordinates of a grid to its values there; raises ValueError for an
+    unknown spec or one whose dimension is not d."""
     if isinstance(function, PlantedFunction):
         if function.d != d:
             raise ValueError("planted function dimension mismatch")
-        return function
-    if callable(function):
-        return function
-    raise ValueError(f"unknown function spec {function!r}")
+        return function.on_axes
+    if not (isinstance(function, str) and function in ("example1", "example2")):
+        raise ValueError(f"unknown function spec {function!r}")
+    if d != 1:
+        raise ValueError(f"{function} is univariate")
+    return example1 if function == "example1" else example2
 
 
 @dataclass(frozen=True)
@@ -175,17 +173,16 @@ class SyntheticData:
 
 
 def generate(spec: SyntheticSpec) -> SyntheticData:
-    """Sample truth = f on the grid and noisy_mod = (truth + noise) mod 1.
-
-    A PlantedFunction is evaluated once per axis (PlantedFunction.on_grid);
-    any other function is called on mesh_points(grid)."""
+    """Sample truth = f on the grid, evaluated on its axis coordinates, and
+    noisy_mod = (truth + noise) mod 1."""
     grid = UniformGrid(d=spec.d, m=spec.m)
-    func = _resolve_function(spec.function, spec.d)
-    values = func.on_grid(grid) if isinstance(func, PlantedFunction) else func(mesh_points(grid))
-    truth = np.asarray(values, dtype=float)
-    if truth.shape != grid.shape:
-        raise ValueError("function did not evaluate to one value per grid point")
-    noise = spec.sigma * keyed_normals(spec.seed, grid.n).reshape(grid.shape)
+    truth = _resolve_function(spec.function, spec.d)(grid.axis_coords())
+    return _observe(grid, truth, spec.sigma, spec.seed)
+
+
+def _observe(grid: UniformGrid, truth: np.ndarray, sigma: float, seed: int) -> SyntheticData:
+    """truth, of grid.shape, and (truth + sigma * keyed_normals(seed)) mod 1."""
+    noise = sigma * keyed_normals(seed, grid.n).reshape(grid.shape)
     noisy = np.asarray(mod1(truth + noise))
     return SyntheticData(
         truth=GridField(grid, truth, kind="real"),
@@ -523,7 +520,8 @@ def elevation_demo(
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
     m = mat.shape[0]
     truth_values = mat / scale
-    data = generate(SyntheticSpec(lambda p: truth_values, d=2, m=m, sigma=sigma, seed=seed))
+    _check_sigma(sigma)
+    data = _observe(UniformGrid(2, m), truth_values, sigma, seed)
     truth, noisy = data.truth, data.noisy_mod
 
     steps = max(

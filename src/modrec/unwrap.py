@@ -29,7 +29,6 @@ class BranchCounts:
     no_jump: int
     plus_one: int
     minus_one: int
-    boundary_hits: int
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,6 @@ class UnwrapResult:
         return GridField(self.grid, self.ftilde, kind="real")
 
 
-def _branch_correct_array(a: np.ndarray):
-    """Corrected differences, and the BranchCounts fields of a in field order."""
-    corr = a + (a < -0.5) - (a > 0.5)
-    mag = np.abs(a)
-    counts = [
-        np.count_nonzero(mag <= 0.5),
-        np.count_nonzero(a < -0.5),
-        np.count_nonzero(a > 0.5),
-        np.count_nonzero(mag == 0.5),
-    ]
-    return corr, counts
-
-
 def unwrap_multid(ghat: GridField) -> UnwrapResult:
     """Axis-by-axis sequential unwrapping of a mod-1 grid field.
 
@@ -78,13 +64,15 @@ def unwrap_multid(ghat: GridField) -> UnwrapResult:
     g = ghat.values
     ft = np.full(grid.shape, np.nan)
     ft[(0,) * grid.d] = g[(0,) * grid.d]
-    counts = np.zeros(4, dtype=np.int64)
+    counts = np.zeros(3, dtype=np.int64)
     max_step = 0.0
     for j in range(grid.d):
         # Free leading axes, axis j runs, trailing axes pinned at index 0.
         sel = (slice(None),) * (j + 1) + (0,) * (grid.d - j - 1)
-        corr, face_counts = _branch_correct_array(np.diff(g[sel], axis=j))
-        counts += face_counts
+        a = np.diff(g[sel], axis=j)
+        plus_one, minus_one = np.count_nonzero(a < -0.5), np.count_nonzero(a > 0.5)
+        counts += [a.size - plus_one - minus_one, plus_one, minus_one]  # BranchCounts, a finite
+        corr = a + (a < -0.5) - (a > 0.5)
         max_step = max(max_step, float(np.max(np.abs(corr))))
         root = np.take(ft[sel], [0], axis=j)
         ft[sel] = np.concatenate([root, root + np.cumsum(corr, axis=j)], axis=j)

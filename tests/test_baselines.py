@@ -278,18 +278,68 @@ def test_axis_preconditioner_inverts_the_axis_edge_system(d, m, mu):
 
 
 def test_only_radius_1_grids_carry_the_axis_eigenbasis():
+    # The basis comes from the lattice grid_graph declares: explicit edges,
+    # reordered or relabelled, declare none.
     for d, m in ((2, 2), (2, 7), (3, 3), (3, 4)):
         grid = grid_graph(d, m)
         basis = grid._axis_eigenbasis
-        assert (basis.d, basis.m) == (d, m)
-        reordered = GraphSpec(n=grid.n, edges=grid.edges[::-1, ::-1])
-        assert reordered._axis_eigenbasis is not None
-        if m > 2:  # the 2^d grid is complete: every relabelling is itself
-            perm = np.random.default_rng(m).permutation(grid.n)
-            assert GraphSpec(n=grid.n, edges=perm[grid.edges])._axis_eigenbasis is None
-    for graph in (path_graph(9), grid_graph(1, 9, radius=2), grid_graph(2, 4, radius=2), grid_graph(3, 3, radius=2)):
+        assert grid.lattice == (d, m, 1) and (basis.d, basis.m) == (d, m)
+        perm = np.random.default_rng(m).permutation(grid.n)
+        for copy in (GraphSpec(n=grid.n, edges=grid.edges[::-1, ::-1]), GraphSpec(n=grid.n, edges=perm[grid.edges])):
+            assert copy.lattice is None and copy._axis_eigenbasis is None
+            assert baselines._axis_preconditioner(copy, 1.0, 1.0) is None
+    for graph in (
+        path_graph(9), grid_graph(1, 9, radius=2), grid_graph(2, 4, radius=2), grid_graph(3, 3, radius=2),
+        grid_graph(1, 6, radius=5), grid_graph(2, 3, radius=2),  # complete on 6 and 9 vertices
+    ):
         assert graph._axis_eigenbasis is None
         assert baselines._axis_preconditioner(graph, 1.0, 1.0) is None
+
+
+@pytest.mark.parametrize("d, m, radius, k", [(2, 4, 3, 4), (1, 8, 7, 3), (1, 4, 9, 2), (3, 2, 1, 3)])
+def test_complete_grids_carry_the_lattice_of_the_binary_cube(d, m, radius, k):
+    # A radius of m - 1 or more joins every pair: the complete graph on 2^k
+    # vertices, which grid_graph(k, 2) builds edge for edge, declared as
+    # that radius-1 lattice, so the relaxations solve it as that grid.
+    graph, cube = grid_graph(d, m, radius), grid_graph(k, 2)
+    assert np.array_equal(graph.edges, cube.edges)
+    assert graph.lattice == cube.lattice == (k, 2, 1)
+    assert (graph._axis_eigenbasis.d, graph._axis_eigenbasis.m) == (k, 2)
+    z, lam = random_torus(np.random.default_rng(k), graph.n), 0.4
+    for solve in (solve_ucqp, solve_trs):
+        got, want = solve(z, graph, lam), solve(z, cube, lam)
+        assert got.raw.tobytes() == want.raw.tobytes()
+    with pytest.raises(TypeError):
+        GraphSpec(n=cube.n, edges=cube.edges, lattice=cube.lattice)  # declared by grid_graph alone
+
+
+@pytest.mark.parametrize("structured", [path_graph(60), grid_graph(2, 9)], ids=["path60", "grid9x9"])
+def test_explicit_edge_copies_are_the_plain_cg_oracle(structured):
+    # The same edges given explicitly declare no lattice: both relaxations
+    # run unpreconditioned conjugate gradients on them, and agree with the
+    # eigenbasis (path) or preconditioned (grid) solve to 1e-11 (they
+    # differed by at most 1.9e-12).
+    copy = GraphSpec(n=structured.n, edges=structured.edges)
+    assert copy.lattice is None and copy._path_eigenbasis is None and copy._axis_eigenbasis is None
+    z, lam = random_torus(np.random.default_rng(structured.n), structured.n), 2.0
+    slow, fast = solve_ucqp(z, copy, lam), solve_ucqp(z, structured, lam)
+    assert slow.iterations > fast.iterations
+    assert np.max(np.abs(slow.raw - fast.raw)) <= 1e-11
+    slow, fast = solve_trs(z, copy, lam), solve_trs(z, structured, lam)
+    assert slow.cg_iterations > fast.cg_iterations
+    assert abs(slow.mu - fast.mu) <= 1e-12 * fast.mu and np.max(np.abs(slow.raw - fast.raw)) <= 1e-11
+
+
+@pytest.mark.parametrize("graph", [path_graph(30), grid_graph(2, 6)], ids=["path30", "grid6x6"])
+def test_trs_evaluates_the_closed_form_end_before_bisecting(graph):
+    # Nearly constant z at lam = 1e8: phi is about 1e-19, far below n*eps,
+    # so every model root rounds to the closed-form lower end |c|, where the
+    # norm defect is phi(|c|) itself.  One evaluation there ends the search;
+    # midpoint steps took 13.
+    z = np.exp(1e-3j * np.random.default_rng(0).standard_normal(graph.n))
+    r = solve_trs(z, graph, 1e8)
+    assert r.bisect_iterations == 1 and r.mu == abs(np.mean(z))
+    assert abs(r.norm_sq - graph.n) <= 1e-10 * graph.n
 
 
 def test_trs_matches_dense_oracle_sweep():

@@ -11,7 +11,7 @@ from modrec.cli import main
 from modrec.fileio import read_elevation, read_field, read_report, report_to_json, write_field
 from modrec.graphs import path_graph
 from modrec.grid import GridField, UniformGrid
-from modrec.harness import McConfig, SyntheticSpec, elevation_demo, generate, monte_carlo, run_pipeline
+from modrec.harness import McConfig, PlantedFunction, SyntheticSpec, elevation_demo, generate, monte_carlo, run_pipeline
 from modrec.knn import choose_k_expected_risk, choose_k_practical, choose_k_sup_norm, denoise
 from modrec.qcqp import QcqpProblem, solve_qcqp
 
@@ -194,6 +194,49 @@ def test_k_is_given_one_way_before_reading(tmp_path, capsys, command, flags, mes
     # Exactly one of --k and --k-rule; the absent input shows nothing was read.
     code, out, err = run(capsys, command, "--in", str(tmp_path / "absent"), *flags, "--out", "o.gf")
     assert code == 1 and err.startswith(f"usage error: {message}") and not out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("recover", "--k", "5", "--C", "0.5"), "--C not read with --k"),
+        (("recover", "--k", "5", "--sigma", "3", "--M", "9"), "--sigma, --M not read with --k"),
+        (("denoise", "--k-rule", "practical", "--sigma", "3"), "--sigma not read with --k-rule practical"),
+        (("recover", "--k-rule", "expected", "--C", "7"), "--C not read with --k-rule expected"),
+        (("denoise", "--k-rule", "supnorm", "--C", "7"), "--C not read with --k-rule supnorm"),
+        (("interp", "--at", "0.5", "--out", "f.gf"), "--out not read without --resample"),
+        (("rate", "--ns", "10,100,1000", "--errors", "1,2,3", "--method", "trs", "--metric", "aligned_mse"),
+         "--method, --metric not read without --report"),
+        (("rate", "--report", "{absent}", "--ns", "1,2,3", "--errors", "5,6,7"), "--ns, --errors not read with --report"),
+    ],
+    ids=["recover-k-C", "recover-k-sigma-M", "denoise-practical-sigma", "recover-expected-C", "denoise-supnorm-C",
+         "interp-out", "rate-method-metric", "rate-report-ns-errors"],
+)
+def test_a_flag_the_command_does_not_read_exits_1_before_reading(tmp_path, capsys, argv, message):
+    # The input does not exist: a data error (exit 2) would mean it was read first.
+    absent = str(tmp_path / "absent")
+    extra = ("--in", absent, "--out", str(tmp_path / "o.gf")) if argv[0] in ("denoise", "recover") else ()
+    extra += ("--in", absent) if argv[0] == "interp" else ()
+    code, out, err = run(capsys, *(arg.format(absent=absent) for arg in argv), *extra)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+    assert not (tmp_path / "o.gf").exists() and not (tmp_path / "f.gf").exists()
+
+
+def test_trs_solves_the_path_without_cg_and_preconditions_the_grid(tmp_path, capsys):
+    # The CLI builds its graphs with path_graph and grid_graph, which declare
+    # their lattice; a 16 x 16 field, each secular evaluation at most 30 CG
+    # iterations on the radius-1 grid.
+    y = tmp_path / "y.gf"
+    function = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
+    write_field(y, generate(SyntheticSpec(function=function, d=2, m=16, sigma=0.12, seed=0)).noisy_mod)
+    reports = {}
+    for graph in ("path", "knn-grid:1"):
+        code, out, _ = run(capsys, "trs", "--in", str(y), "--graph", graph, "--lambda", "4")
+        assert code == 0
+        reports[graph] = json.loads(out)
+    assert reports["path"]["cg_iterations"] == 0
+    grid = reports["knn-grid:1"]
+    assert 0 < grid["cg_iterations"] <= 30 * grid["secular_evaluations"]
 
 
 def _json(payload: dict) -> str:

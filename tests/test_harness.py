@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_planted
-from modrec import harness
+from modrec import baselines, harness
+from modrec import grid as grid_module
 from modrec.circle import mod1
 from modrec.graphs import grid_graph
 from modrec.grid import GridField, UniformGrid, mesh_points
@@ -16,6 +17,7 @@ from modrec.harness import (
     SyntheticSpec,
     align,
     elevation_demo,
+    example1,
     example2,
     generate,
     keyed_normals,
@@ -108,10 +110,11 @@ def test_planted_function_rejects_unusable_parameters(args, message):
     [
         (lambda: SyntheticSpec("example3", d=1, m=8, sigma=0.0, seed=0), ValueError, "unknown function spec 'example3'"),
         (
-            lambda: generate(SyntheticSpec(lambda p: np.zeros(3), d=1, m=8, sigma=0.0, seed=0)),
+            lambda: SyntheticSpec(lambda p: np.zeros(3), d=1, m=8, sigma=0.0, seed=0),
             ValueError,
-            "function did not evaluate to one value per grid point",
+            "unknown function spec <function",
         ),
+        (lambda: McConfig(function=example2, n_sweep=(16,)), ValueError, "unknown function spec <function example2"),
         (
             lambda: align(GridField(UniformGrid(1, 4), np.zeros(4)), GridField(UniformGrid(1, 5), np.zeros(5))),
             ValueError,
@@ -120,7 +123,7 @@ def test_planted_function_rejects_unusable_parameters(args, message):
         (lambda: McSummary(McConfig(), ()).cell(64, "knn"), KeyError, "no cell for n=64, method=knn"),
         (lambda: elevation_demo(np.zeros((1, 1))), ValueError, "elevation must be at least 2 x 2"),
     ],
-    ids=["unknown_function", "function_shape", "align_grids", "missing_cell", "elevation_size"],
+    ids=["unknown_function", "callable_function", "callable_mc_function", "align_grids", "missing_cell", "elevation_size"],
 )
 def test_harness_checks_its_inputs(call, error, message):
     with pytest.raises(error, match=message):
@@ -141,18 +144,23 @@ def test_planted_truth_per_axis_equals_pointwise_call_bytewise():
             assert truth.values.tobytes() == fn(mesh_points(grid)).tobytes(), (d, m)
 
 
-def test_generate_builds_no_mesh_for_a_planted_function(monkeypatch):
-    calls = []
+def test_generate_builds_no_mesh(monkeypatch):
+    # Every truth is evaluated on the grid's axis coordinates.
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
 
-    def counted(grid):
-        calls.append(grid)
-        return mesh_points(grid)
+    monkeypatch.setattr(grid_module, "mesh_points", no_mesh)
+    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    planted = random_planted(3, np.random.default_rng(42))
+    for function, d in ((planted, 3), ("example1", 1), ("example2", 1)):
+        generate(SyntheticSpec(function=function, d=d, m=9, sigma=0.1, seed=1))
 
-    monkeypatch.setattr(harness, "mesh_points", counted)
-    generate(SyntheticSpec(function=random_planted(3, np.random.default_rng(42)), d=3, m=9, sigma=0.1, seed=1))
-    assert calls == []
-    generate(SyntheticSpec(function="example1", d=1, m=9, sigma=0.1, seed=1))
-    assert calls == [UniformGrid(1, 9)]
+
+def test_named_truths_equal_the_examples_bytewise():
+    for function, f in (("example1", example1), ("example2", example2)):
+        for m in (2, 7, 200):
+            truth = generate(SyntheticSpec(function=function, d=1, m=m, sigma=0.0, seed=0)).truth
+            assert truth.values.tobytes() == f(mesh_points(UniformGrid(1, m))[..., 0]).tobytes()
 
 
 def test_lipschitz_example2_constant_vs_finite_differences():
@@ -255,6 +263,24 @@ def test_monte_carlo_builds_one_graph_per_size(monkeypatch):
     summary = monte_carlo(McConfig(n_sweep=(16, 64), trials=2, methods=("ucqp", "trs")))
     assert built == [(1, 16), (1, 64)]  # not one per method and trial
     assert [(c.trials, c.failures) for c in summary.cells] == [(2, 0)] * 4
+
+
+def test_monte_carlo_relaxations_solve_in_the_declared_structure(monkeypatch):
+    # The sweep's graphs come from grid_graph: no conjugate gradients on the
+    # path at d = 1, preconditioned ones on the 16 x 16 grid.
+    preconditioned = []
+    inner = baselines.conjugate_gradient
+
+    def counting(apply_A, b, x0=None, precondition=None):
+        preconditioned.append(precondition is not None)
+        return inner(apply_A, b, x0=x0, precondition=precondition)
+
+    monkeypatch.setattr(baselines, "conjugate_gradient", counting)
+    monte_carlo(McConfig(n_sweep=(256,), trials=2, methods=("ucqp", "trs")))
+    assert preconditioned == []
+    planted = PlantedFunction((0.3, 0.25), (1, 1), (0.4, 1.3), 0.1)
+    monte_carlo(McConfig(function=planted, d=2, n_sweep=(256,), trials=2, methods=("ucqp", "trs")))
+    assert len(preconditioned) > 4 and all(preconditioned)
 
 
 def test_monte_carlo_method_order_invariance():
@@ -474,6 +500,19 @@ def test_elevation_flat_terrain_passes_the_resolution_check():
     assert demo.lipschitz_estimate == 0.0
     assert demo.itoh == ItohReport(satisfied=True, margin=0.5)
     assert demo.metrics_denoised.aligned_mse < demo.metrics_raw.aligned_mse
+
+
+@pytest.mark.parametrize(
+    "terrain, sigma, message",
+    [
+        (np.zeros((3, 3)), float("nan"), "sigma must be a finite number >= 0, got nan"),
+        (np.zeros((3, 3)), -0.5, "sigma must be a finite number >= 0, got -0.5"),
+        (np.full((3, 3), np.nan), 0.1, "t must be finite"),
+    ],
+)
+def test_elevation_rejects_unusable_noise_and_terrain(terrain, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        elevation_demo(terrain, sigma=sigma)
 
 
 def test_elevation_requires_square():

@@ -127,11 +127,16 @@ def test_apply_bitwise_equals_edgewise_oracle(name, dtype):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_is_path_detects_paths(n):
-    assert path_graph(n)._path_eigenbasis is not None
+    # The path is the lattice path_graph declares; the same edges given
+    # explicitly, in order, shuffled or as reversed pairs, declare nothing.
+    path = path_graph(n)
+    assert path.lattice == (1, n, min(1, n - 1)) and path._path_eigenbasis.n == n
+    copies = [GraphSpec(n=n, edges=path.edges)]
     if n > 1:
-        assert _shuffled_path(n, relabel=False)._path_eigenbasis is not None
-        reversed_pairs = GraphSpec(n=n, edges=[(i + 1, i) for i in reversed(range(n - 1))])
-        assert reversed_pairs._path_eigenbasis is not None
+        copies += [_shuffled_path(n, relabel=False), GraphSpec(n=n, edges=[(i + 1, i) for i in reversed(range(n - 1))])]
+    for copy in copies:
+        assert np.array_equal(copy.edges, path.edges)
+        assert copy.lattice is None and copy._path_eigenbasis is None and copy._axis_eigenbasis is None
 
 
 def test_is_path_rejects_other_graphs():
@@ -186,6 +191,7 @@ def _solver_outputs(graph, z):
 def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
     # A path is relabelled, z carried along: on path_graph itself the
     # relaxations solve in the eigenbasis and apply L only for the residual.
+    # The grid keeps its lattice, so its CG stays preconditioned.
     data = generate(SyntheticSpec(function=function, d=d, m=m, sigma=0.1, seed=61))
     z = circle_embed(data.noisy_mod.flat)
     graph = grid_graph(d, m)
@@ -199,7 +205,7 @@ def test_solvers_bitwise_unchanged_by_the_apply(monkeypatch, d, m, function):
         return adjacency_apply_edgewise(graph_, g)
 
     monkeypatch.setattr(graphs, "adjacency_apply", oracle)
-    assert _solver_outputs(GraphSpec(n=graph.n, edges=graph.edges), z) == fast
+    assert _solver_outputs(graph, z) == fast
     assert len(calls) > 100  # the solvers ran the oracle
 
 

@@ -17,11 +17,11 @@ def _unwrap_path(values):
 def test_branch_correct_cases():
     # (first sample, difference a, corrected difference, BranchCounts fields)
     for start, a, corrected, counts in [
-        (0.1, 0.3, 0.3, (1, 0, 0, 0)),
-        (0.9, -0.8, 0.2, (0, 1, 0, 0)),
-        (0.1, 0.8, -0.2, (0, 0, 1, 0)),
-        (0.25, 0.5, 0.5, (1, 0, 0, 1)),  # |a| = 1/2 exactly is left alone
-        (0.75, -0.5, -0.5, (1, 0, 0, 1)),
+        (0.1, 0.3, 0.3, (1, 0, 0)),
+        (0.9, -0.8, 0.2, (0, 1, 0)),
+        (0.1, 0.8, -0.2, (0, 0, 1)),
+        (0.25, 0.5, 0.5, (1, 0, 0)),  # |a| = 1/2 exactly is left alone
+        (0.75, -0.5, -0.5, (1, 0, 0)),
     ]:
         r = _unwrap_path([start, start + a])
         assert r.ftilde[1] - r.ftilde[0] == pytest.approx(corrected, abs=1e-15)

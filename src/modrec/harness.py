@@ -5,7 +5,11 @@ Noise is generated from a counter-based splitmix64 stream keyed by
 so a sample depends only on its key: regenerating any subset of a field, in
 any order or in parallel, reproduces identical values.  Bit-exact agreement
 across platforms is not promised (libm transcendentals differ), but within
-one installation every run is reproducible from its seed.
+one installation every run is reproducible from its seed.  The draws, the
+mod-1 fold and the elementwise errors of metrics run in fixed blocks on the
+CPUs in the process's affinity mask (modrec.blocks); the outputs are
+bitwise independent of the worker count and the block size, and there is no
+option.
 
 Baseline methods plug into the same unwrap/align/metric path as the kNN
 denoiser, so method comparisons differ only in the denoising stage.
@@ -18,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import baselines
+from .blocks import run_blocks
 from .circle import circle_arg, circle_embed, mod1, wrap_distance
 from .graphs import grid_graph
 from .grid import GridField, UniformGrid, floor_root
@@ -47,12 +52,23 @@ def keyed_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def keyed_normals(seed: int, n: int) -> np.ndarray:
-    """Standard normals keyed by (seed, draw index) via Box-Muller."""
-    idx = np.arange(n, dtype=np.uint64)
+def _normals(seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws start to stop - 1 of keyed_normals(seed, n), for any n >= stop."""
+    idx = np.arange(start, stop, dtype=np.uint64)
     u1 = keyed_uniforms(seed, 2 * idx)
     u2 = keyed_uniforms(seed, 2 * idx + np.uint64(1))
     return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def keyed_normals(seed: int, n: int) -> np.ndarray:
+    """Standard normals keyed by (seed, draw index) via Box-Muller."""
+    out = np.empty(n)
+
+    def fill(start, stop):
+        out[start:stop] = _normals(seed, start, stop)
+
+    run_blocks(fill, n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +198,16 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
 def _observe(grid: UniformGrid, truth: np.ndarray, sigma: float, seed: int) -> SyntheticData:
     """truth, of grid.shape, and (truth + sigma * keyed_normals(seed)) mod 1."""
-    noise = sigma * keyed_normals(seed, grid.n).reshape(grid.shape)
-    noisy = np.asarray(mod1(truth + noise))
+    flat = truth.reshape(-1)
+    noisy = np.empty(grid.n)
+
+    def fold(start, stop):
+        noisy[start:stop] = mod1(flat[start:stop] + sigma * _normals(seed, start, stop))
+
+    run_blocks(fold, grid.n)
     return SyntheticData(
         truth=GridField(grid, truth, kind="real"),
-        noisy_mod=GridField(grid, noisy, kind="mod1"),
+        noisy_mod=GridField.from_flat(grid, noisy, kind="mod1"),
     )
 
 
@@ -219,12 +240,17 @@ def align(ftilde: GridField, truth: GridField) -> int:
     """
     if ftilde.grid != truth.grid:
         raise ValueError("fields live on different grids")
-    diff = ftilde.flat - truth.flat
-    shifts = np.round(diff).astype(np.int64)
+    shifts = np.empty(truth.grid.n, dtype=np.int64)
+
+    def round_diffs(start, stop):
+        shifts[start:stop] = np.round(ftilde.flat[start:stop] - truth.flat[start:stop])
+
+    run_blocks(round_diffs, truth.grid.n)
     values, counts = np.unique(shifts, return_counts=True)
     top = values[counts == counts.max()]
     if top.size == 1:
         return int(top[0])
+    diff = ftilde.flat - truth.flat
     best = None
     for cand in sorted(int(v) for v in top):
         mse = float(np.mean((diff - cand) ** 2))
@@ -260,16 +286,29 @@ def metrics(
     q_star is the integer with ftilde + q_star closest to truth (the negated
     output of align); aligned_mse averages (ftilde + q_star - truth)^2.
     """
-    g_true = np.asarray(mod1(truth.flat))
-    dw_noisy = np.asarray(wrap_distance(noisy_mod.flat, g_true))
-    dw_den = np.asarray(wrap_distance(ghat.flat, g_true))
+    if any(f.grid != truth.grid for f in (ftilde, ghat, noisy_mod)):
+        raise ValueError("fields live on different grids")
+    n = truth.grid.n
+    sq_noisy, dw_den, sq_den, sq_aligned = (np.empty(n) for _ in range(4))
+
+    def wrap_errors(start, stop):
+        g_true = mod1(truth.flat[start:stop])
+        sq_noisy[start:stop] = wrap_distance(noisy_mod.flat[start:stop], g_true) ** 2
+        dw_den[start:stop] = wrap_distance(ghat.flat[start:stop], g_true)
+        sq_den[start:stop] = dw_den[start:stop] ** 2
+
+    run_blocks(wrap_errors, n)
     q_star = -align(ftilde, truth)
-    aligned = ftilde.flat + q_star - truth.flat
+
+    def aligned_errors(start, stop):
+        sq_aligned[start:stop] = (ftilde.flat[start:stop] + q_star - truth.flat[start:stop]) ** 2
+
+    run_blocks(aligned_errors, n)
     return TrialResult(
-        wrap_mse_noisy=float(np.mean(dw_noisy ** 2)),
-        wrap_mse_denoised=float(np.mean(dw_den ** 2)),
+        wrap_mse_noisy=float(np.mean(sq_noisy)),
+        wrap_mse_denoised=float(np.mean(sq_den)),
         wrap_sup_denoised=float(np.max(dw_den)),
-        aligned_mse=float(np.mean(aligned ** 2)),
+        aligned_mse=float(np.mean(sq_aligned)),
         q_star=int(q_star),
         method=method,
         seed=seed,
@@ -518,6 +557,16 @@ def elevation_demo(
         raise ValueError("elevation must be at least 2 x 2")
     if not 0.0 < scale < np.inf:
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+    if not np.isfinite(mat).all():
+        raise ValueError("elevation must be finite")
+    # In Python floats, which overflow to inf without a numpy warning: the
+    # scaled elevation and its steps between neighbours stay finite.
+    peak = float(np.max(np.abs(mat)))
+    if not 2.0 * (peak / float(scale)) < np.inf:
+        raise ValueError(
+            f"elevation / scale must be finite with finite steps: max |elevation| {peak!r} "
+            f"at scale {scale!r}"
+        )
     m = mat.shape[0]
     truth_values = mat / scale
     _check_sigma(sigma)

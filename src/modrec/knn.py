@@ -17,7 +17,11 @@ which fold the clipping into the table: each of the 2^d corners of every
 radius-c box is one slice, so the grid is summed at c in O(2^d n).  Only the
 boundary shell, where clipped boxes hold too few points, searches for larger
 radii and gathers its corners point by point: O(s log m) more for s shell
-points.
+points.  The per-point passes (the embedding, the prefix sums, each split
+along an axis it does not run along, the corner sums of the radius-c boxes
+and the projection) run in fixed blocks on the CPUs in the process's
+affinity mask (modrec.blocks); the outputs are bitwise independent of the
+worker count and the block size, and there is no option.
 
 Bandwidth selection implements three rules:
 
@@ -28,22 +32,25 @@ Bandwidth selection implements three rules:
 *   ``choose_k_practical`` is the desk recipe k = ceil(C * n^(2/(d+2)) *
     (log n)^(d/(d+2))).
 
-The rules and bound evaluators take (d, sigma, M, n), the bounds then k; a
-value past the float range is inf and a k* there clamps to n.  The bound
-evaluators return their value even when the hypotheses (sigma <= 1/(2*pi),
-n >= 2^d) fail, flagging the violation, so parameter sweeps can chart
-validity regions.  All logarithms are natural.
+The rules and bound evaluators take (d, sigma, M, n), the bounds then k; the
+rules take n as a Python int and sigma, M and C as Python floats, so a value
+past the float range is inf, without a numpy warning, and a k* there clamps
+to n.  The bound evaluators return their value even when the hypotheses
+(sigma <= 1/(2*pi), n >= 2^d) fail, flagging the violation, so parameter
+sweeps can chart validity regions.  All logarithms are natural.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import run_blocks
 from .circle import TWO_PI, circle_arg, circle_embed
 from .grid import GridField, floor_root
 from .unwrap import itoh_check
@@ -75,6 +82,24 @@ class DenoiseResult:
 _CANCEL_TOL = 1e-14
 
 
+def _cumsum(src: np.ndarray, out: np.ndarray, ax: int) -> None:
+    """np.cumsum(src, axis=ax, out=out) in blocks of rows along another axis.
+
+    Each line along ax is summed in order within one block, so the blocks
+    add exactly what one call adds.  A 1-D array is one line.
+    """
+    if src.ndim == 1:
+        np.cumsum(src, out=out)
+        return
+    across = 1 if ax == 0 else 0
+
+    def lines(start, stop):
+        rows = (slice(None),) * across + (slice(start, stop),)
+        np.cumsum(src[rows], axis=ax, out=out[rows])
+
+    run_blocks(lines, src.shape[across], src.size // src.shape[across])
+
+
 def _bordered_prefix_sums(z: np.ndarray, c: int) -> np.ndarray:
     """Summed-area table of z with a border of c on every side of every axis.
 
@@ -86,9 +111,9 @@ def _bordered_prefix_sums(z: np.ndarray, c: int) -> np.ndarray:
     m = z.shape[0]
     table = np.zeros((m + 2 * c + 1,) * z.ndim, dtype=z.dtype)
     inner = table[(slice(c + 1, c + 1 + m),) * z.ndim]
-    np.cumsum(z, axis=0, out=inner)
+    _cumsum(z, inner, 0)
     for ax in range(1, z.ndim):
-        np.cumsum(inner, axis=ax, out=inner)
+        _cumsum(inner, inner, ax)
     for ax in range(z.ndim):
         rows = np.moveaxis(table, ax, 0)
         rows[c + m + 1:] = rows[c + m]
@@ -110,12 +135,12 @@ def _windows(idx: tuple, c, m: int):
     return lo, hi, sizes
 
 
-def _corner_sums(table: np.ndarray, lo: tuple, hi: tuple, shape: tuple) -> np.ndarray:
-    """Box sums of the given shape by inclusion-exclusion over the 2^d corners,
-    in a fixed order; lo[a] and hi[a] index axis a of the table at each box's
-    lower and upper-plus-one corner."""
+def _corner_sums(table: np.ndarray, lo: tuple, hi: tuple, total: np.ndarray) -> np.ndarray:
+    """Box sums by inclusion-exclusion over the 2^d corners, in a fixed order,
+    written to total and returned; lo[a] and hi[a] index axis a of the table
+    at each box's lower and upper-plus-one corner."""
     d = len(lo)
-    total = np.zeros(shape, dtype=table.dtype)
+    total[...] = 0
     for corner in itertools.product((0, 1), repeat=d):
         pick = tuple(hi[a] if corner[a] else lo[a] for a in range(d))
         sign = 1 if (d - sum(corner)) % 2 == 0 else -1
@@ -131,16 +156,22 @@ def _box_sums(z: np.ndarray, k: int):
     and clipping only removes points, so no radius is below c0.  In a
     summed-area table bordered by c0 edge copies (_bordered_prefix_sums), the
     corners of every radius-c0 box, clipped or not, sit at one fixed offset
-    from the point, so the whole grid is summed from 2^d slices.  Only the
-    boundary shell, whose boxes at c0 hold fewer than k points, is searched
-    for its radii and gathered point by point.
+    from the point, so the whole grid is summed from 2^d slices, in blocks of
+    rows along axis 0.  Only the boundary shell, whose boxes at c0 hold fewer
+    than k points, is searched for its radii and gathered point by point.
     """
     d, m = z.ndim, z.shape[0]
     c0 = (floor_root(k - 1, d) + 1) // 2
     table = _bordered_prefix_sums(z, c0)
-    lo = (slice(0, m),) * d
-    hi = (slice(2 * c0 + 1, 2 * c0 + 1 + m),) * d
-    sums = _corner_sums(table, lo, hi, z.shape).reshape(-1)
+    sums = np.empty(z.shape, dtype=z.dtype)
+
+    def interior(start, stop):
+        lo = (slice(start, stop),) + (slice(0, m),) * (d - 1)
+        hi = tuple(slice(s.start + 2 * c0 + 1, s.stop + 2 * c0 + 1) for s in lo)
+        _corner_sums(table, lo, hi, sums[start:stop])
+
+    run_blocks(interior, m, m ** (d - 1))
+    sums = sums.reshape(-1)
     counts = _windows(np.ix_(*[np.arange(m)] * d), c0, m)[2].reshape(-1)
     radii = np.full(counts.size, c0)
 
@@ -154,7 +185,9 @@ def _box_sums(z: np.ndarray, k: int):
         hi_c = np.where(ok, mid, hi_c)
         lo_c = np.where(ok, lo_c, mid + 1)
     lo, hi, shell_counts = _windows(idx, lo_c, m)
-    sums[shell] = _corner_sums(table, [i + c0 for i in lo], [i + 1 + c0 for i in hi], shell.size)
+    sums[shell] = _corner_sums(
+        table, [i + c0 for i in lo], [i + 1 + c0 for i in hi], np.empty(shell.size, dtype=z.dtype)
+    )
     counts[shell] = shell_counts
     radii[shell] = lo_c
     return sums, counts, radii
@@ -173,15 +206,27 @@ def denoise(y: GridField, k: int) -> DenoiseResult:
     grid = y.grid
     if not 1 <= k <= grid.n:
         raise ValueError(f"k must lie in [1, {grid.n}]")
-    sums, counts, radii = _box_sums(circle_embed(y.values), k)
+    z = np.empty(grid.n, dtype=complex)
 
-    mags = np.abs(sums)
-    zero_mask = mags <= _CANCEL_TOL * counts
-    ghat = np.asarray(circle_arg(np.where(zero_mask, 1.0 + 0.0j, sums)))
-    # Radius-zero neighborhoods are the sample itself: skip the embed/arg
-    # round trip so the output is bitwise equal to the input there.
-    ghat = np.where(radii == 0, y.flat, ghat)
-    field = GridField(grid, ghat.reshape(grid.shape), kind="mod1")
+    def embed(start, stop):
+        z[start:stop] = circle_embed(y.flat[start:stop])
+
+    run_blocks(embed, grid.n)
+    sums, counts, radii = _box_sums(z.reshape(grid.shape), k)
+    ghat = np.empty(grid.n)
+    zero_mask = np.empty(grid.n, dtype=bool)
+
+    def project(start, stop):
+        block = sums[start:stop]
+        zero = np.abs(block) <= _CANCEL_TOL * counts[start:stop]
+        arg = circle_arg(np.where(zero, 1.0 + 0.0j, block))
+        # Radius-zero neighborhoods are the sample itself: skip the embed/arg
+        # round trip so the output is bitwise equal to the input there.
+        ghat[start:stop] = np.where(radii[start:stop] == 0, y.flat[start:stop], arg)
+        zero_mask[start:stop] = zero
+
+    run_blocks(project, grid.n)
+    field = GridField.from_flat(grid, ghat, kind="mod1")
     points = np.bincount(radii)
     histogram = tuple((int(r), int(points[r])) for r in np.flatnonzero(points))
     return DenoiseResult(
@@ -226,6 +271,7 @@ def choose_k_expected_risk(d: int, sigma: float, M: float, n: int) -> int:
     returns 1 with a warning.
     """
     sigma, M = _check_sigma_M(sigma, M)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma == 0.0:
@@ -258,6 +304,7 @@ def choose_k_sup_norm(d: int, sigma: float, M: float, n: int) -> SupNormSelectio
     whether k_star >= log n (the simplification used to derive the rule).
     """
     sigma, M = _check_sigma_M(sigma, M)
+    n = operator.index(n)
     if n < 2:
         raise ValueError("n must be >= 2")
     c_sigma = _noise_factor(sigma)
@@ -282,6 +329,7 @@ def choose_k_practical(n: int, d: int = 1, C: float = 0.09) -> int:
     C = float(C)
     if not 0 < C < math.inf:
         raise ValueError(f"C must be a finite number above 0, got {C!r}")
+    n = operator.index(n)
     if n < 2:
         raise ValueError("n must be >= 2")
     k_star = C * n ** (2.0 / (d + 2)) * math.log(n) ** (d / (d + 2))

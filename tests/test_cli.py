@@ -572,3 +572,15 @@ def test_demo_elevation_non_finite_entry_names_its_line(tmp_path, capsys):
     )
     assert code == 2 and not out
     assert err.startswith("data error: line 1:") and "not finite" in err
+
+
+def test_demo_elevation_scaled_past_the_float_range_is_a_data_error(tmp_path, capsys):
+    terrain = tmp_path / "terrain.txt"
+    terrain.write_text("1 2\n1e308 -1e308\n")
+    code, out, err = run(
+        capsys, "demo-elevation", "--in", str(terrain), "--scale", "1e-300",
+        "--out-dir", str(tmp_path / "demo"),
+    )
+    assert code == 2 and not out
+    assert err == "data error: elevation / scale must be finite with finite steps: " \
+        "max |elevation| 1e+308 at scale 1e-300\n"

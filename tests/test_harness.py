@@ -204,6 +204,27 @@ def test_align_examples():
     assert align(GridField(grid, bimodal), truth) == 1
 
 
+def test_align_breaks_a_tie_by_error_then_by_value():
+    grid = UniformGrid(1, 4)
+    truth = GridField(grid, np.zeros(4))
+    # Shifts 0, 0, 1, 1: the shift 1 leaves the smaller squared error.
+    assert align(GridField(grid, [0.1, 0.1, 1.4, 1.4]), truth) == 1
+    # Both shifts leave the same error: the smaller shift.
+    assert align(GridField(grid, [0.4, 0.4, 0.6, 0.6]), truth) == 0
+
+
+def test_metrics_rejects_fields_on_another_grid():
+    line, square = UniformGrid(1, 16), UniformGrid(2, 4)
+    truth = GridField(line, np.zeros(16))
+    same = GridField(line, np.zeros(16), kind="mod1")
+    other = GridField(square, np.zeros((4, 4)), kind="mod1")
+    # Same number of points: nothing but the grid check can tell.
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        metrics(truth, other, same, truth)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        metrics(truth, same, other, truth)
+
+
 def test_metrics_fixture_against_direct_loops():
     from modrec.circle import wrap_distance
 
@@ -507,12 +528,29 @@ def test_elevation_flat_terrain_passes_the_resolution_check():
     [
         (np.zeros((3, 3)), float("nan"), "sigma must be a finite number >= 0, got nan"),
         (np.zeros((3, 3)), -0.5, "sigma must be a finite number >= 0, got -0.5"),
-        (np.full((3, 3), np.nan), 0.1, "t must be finite"),
+        (np.full((3, 3), np.nan), 0.1, "elevation must be finite"),
     ],
 )
 def test_elevation_rejects_unusable_noise_and_terrain(terrain, sigma, message):
     with pytest.raises(ValueError, match=message):
         elevation_demo(terrain, sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "terrain, scale, message",
+    [
+        ([[1.0, 2.0], [1e308, -1e308]], 1e-300, r"max \|elevation\| 1e\+308 at scale 1e-300"),
+        # Finite after scaling, but the step between the two entries is not.
+        ([[1.0, 2.0], [1e308, -1e308]], 1.0, r"max \|elevation\| 1e\+308 at scale 1.0"),
+        ([[1.0, np.inf], [0.0, 0.0]], 1.0, "elevation must be finite"),
+    ],
+    ids=["scaled", "step", "infinite"],
+)
+def test_elevation_rejects_terrain_outside_the_float_range(terrain, scale, message):
+    # Rejected before any numpy operation overflows, which the test
+    # configuration would turn into an error of its own.
+    with pytest.raises(ValueError, match=message):
+        elevation_demo(np.array(terrain), scale=scale)
 
 
 def test_elevation_requires_square():

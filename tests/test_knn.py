@@ -351,6 +351,7 @@ _FLOAT_RANGE_CASES = [
     (choose_k_expected_risk, (2, 1e154, 1e154, 1000), 23),
     # Only the sample-size condition overflows; k* is far below 1.
     (_sup_norm_k, (3, 1.0, 1e300, 1000), 1),
+    (choose_k_practical, (10**18, 1, 1e300), 10**18),
 ]
 
 
@@ -364,6 +365,15 @@ def test_bandwidth_rules_clamp_float64_input_outside_the_float_range(rule, args,
     # numpy scalars overflow with a RuntimeWarning where Python floats give
     # inf; the rules take sigma, M and C as Python floats.
     got = rule(*(np.float64(a) if isinstance(a, float) else a for a in args))
+    assert got == k and type(got) is int
+
+
+@pytest.mark.parametrize("rule, args, k", _FLOAT_RANGE_CASES)
+def test_bandwidth_rules_clamp_int64_n_outside_the_float_range(rule, args, k):
+    # The rules take n as a Python int, so a numpy integer n computes what
+    # the same Python int does.
+    at = 0 if rule is choose_k_practical else 3
+    got = rule(*(np.int64(a) if i == at else a for i, a in enumerate(args)))
     assert got == k and type(got) is int
 
 

@@ -21,7 +21,6 @@ trials all failed (NaN means) is a data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -220,7 +219,7 @@ def _choose_k(args, field: GridField) -> int:
 
 
 def _emit(payload: dict):
-    print(json.dumps(fileio._jsonable(payload), sort_keys=True, indent=2, allow_nan=False))
+    print(fileio.canonical_json(payload))
 
 
 def _run(args) -> int:

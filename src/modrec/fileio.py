@@ -11,14 +11,17 @@ blank lines and every line after the header that starts with ``#``.  All
 writers emit deterministic byte streams for identical inputs: keys are
 sorted and float formatting is fixed.
 
-Fields are written and parsed in blocks of rows; ``GridField`` checks the
-values.  A file that either rejects is walked again one row at a time, and
-the reader raises the ``FormatError`` of the first offending line, with its
-line number: the first line that has the wrong number of columns, lies
-beyond the n rows the header promises, does not parse as Python ``int``
-indices and a ``float`` value, carries an index out of lexicographic order,
-or holds a value outside [0, 1) (mod1) or not finite (real), checked in
-that order.  A file with too few rows raises without a line number.
+Fields are written in blocks of rows, and read by ``np.loadtxt`` over the
+data lines; ``GridField`` checks the values.  A file that either rejects,
+or on which numpy warns, is walked again one row at a time with Python's
+``int`` and ``float``: the walk returns the values of a file whose rows only
+Python parses (such as ``1_0.5``), or raises the ``FormatError`` of the
+first offending line, with its line number: the first line that has the
+wrong number of columns, lies beyond the n rows the header promises, does
+not parse as Python ``int`` indices and a ``float`` value, carries an index
+out of lexicographic order, or holds a value outside [0, 1) (mod1) or not
+finite (real), checked in that order.  A file with too few rows raises
+without a line number, and a header that repeats a key raises on line 1.
 
 Every writer opens its output through ``open_output``, which replaces an
 existing file rather than truncating it wherever nothing but the inode
@@ -51,8 +54,8 @@ import json
 import math
 import os
 import stat
+import warnings
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -76,7 +79,6 @@ class GridFileHeader:
 
 
 WRITE_BLOCK_ROWS = 4096  # rows formatted per write
-READ_BLOCK_BYTES = 65536  # size hint of each readlines block
 
 _ROW_TEMPLATE = "%s,%.17g\n"  # same bytes as format(value, ".17g")
 
@@ -151,6 +153,8 @@ def read_header(path) -> GridFileHeader:
             if "=" not in tok:
                 raise FormatError(f"malformed header token {tok!r}", line=1)
             key, _, val = tok.partition("=")
+            if key in fields:
+                raise FormatError(f"header repeats {key}=", line=1)
             fields[key] = val
         for required in ("d", "m", "kind"):
             if required not in fields:
@@ -172,69 +176,57 @@ def read_header(path) -> GridFileHeader:
 def read_field(path) -> GridField:
     header = read_header(path)
     grid = UniformGrid(d=header.d, m=header.m)
-    values = _parse_rows(path, grid)
+    values = _load_rows(path, grid)
     if values is not None:
         try:
             return GridField.from_flat(grid, values, kind=header.kind)
         except ValueError:  # a value outside the kind's range: find its line
             pass
-    _raise_first_fault(path, grid, header.kind)
+    return GridField.from_flat(grid, _read_rows(path, grid, header.kind), kind=header.kind)
 
 
-def _parse_rows(path, grid: UniformGrid) -> np.ndarray | None:
-    """The values of the data rows, parsed a block of lines at a time; None
-    if any row fails a check of ``_check_row`` other than the value check,
-    which is GridField's, or the row count is wrong.  Blank and ``#`` lines
-    are skipped, as in the row walk.  A header whose n rows of at least
-    2d + 1 bytes and a line break each cannot fit in the file is None before
-    anything is allocated from it."""
+def _load_rows(path, grid: UniformGrid) -> np.ndarray | None:
+    """The values of the data rows as ``np.loadtxt`` parses them; None if it
+    declines or warns, if the rows are not the grid's n indices in order, or
+    if n rows of at least 2d + 1 bytes and a line break cannot fit in the file,
+    which is checked before anything is allocated from n."""
     d, n = grid.d, grid.n
     if n * (2 * d + 2) > os.path.getsize(path):
         return None
-    want = np.indices(grid.shape).reshape(d, n) + 1
-    values = np.empty(n)
-    row = 0
-    with open(path, "r", encoding="ascii") as fh:
-        while lines := fh.readlines(READ_BLOCK_BYTES):
-            rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-            if not rows:
-                continue
-            r = len(rows)
-            if set(map(str.count, rows, itertools.repeat(","))) != {d}:
-                return None
-            tokens = ",".join(rows).split(",")
-            try:
-                block = np.fromiter(map(float, tokens[d::d + 1]), dtype=float, count=r)
-                del tokens[d::d + 1]
-                idx = np.fromiter(map(int, tokens), dtype=np.int64, count=r * d)
-            except (ValueError, OverflowError):  # OverflowError: an index beyond int64
-                return None
-            # Rows past the n-th make the slice of want too short to compare equal.
-            if not np.array_equal(idx.reshape(r, d).T, want[:, row:row + r]):
-                return None
-            values[row:row + r] = block
-            row += r
-    return values if row == n else None
+    dtype = [("i", np.int64, (d,)), ("v", float)]
+    with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy may warn where it should decline
+        rows = (s for s in map(str.strip, fh) if s and s[0] != "#")
+        try:
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, max_rows=n + 1)
+        except (ValueError, Warning):
+            return None
+    # n + 1 rows, or one row loaded as a 0-d table, differ in shape: not equal.
+    if not np.array_equal(table["i"].T, np.indices(grid.shape).reshape(d, n) + 1):
+        return None
+    return table["v"]
 
 
-def _raise_first_fault(path, grid: UniformGrid, kind: str) -> NoReturn:
-    """Walk the data rows one at a time and raise the FormatError of the first
-    offending line; called only once the block parse has found a fault."""
-    rows = 0
+def _read_rows(path, grid: UniformGrid, kind: str) -> np.ndarray:
+    """The values of the data rows, checked one row at a time: either the
+    FormatError of the first offending line, or the values of a file that
+    numpy declined but Python's ``int`` and ``float`` accept."""
+    values = []
     expected = iter_lex(grid)
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            _check_row(line, lineno, rows, expected, grid, kind)
-            rows += 1
-    raise FormatError(f"found {rows} data rows, header promises {grid.n}")
+            values.append(_check_row(line, lineno, len(values), expected, grid, kind))
+    if len(values) != grid.n:
+        raise FormatError(f"found {len(values)} data rows, header promises {grid.n}")
+    return np.array(values)
 
 
-def _check_row(line: str, lineno: int, rows: int, expected, grid: UniformGrid, kind: str) -> None:
-    """The checks of one data row, in order; ``rows`` data rows precede it and
-    ``expected`` yields the index it must carry."""
+def _check_row(line: str, lineno: int, rows: int, expected, grid: UniformGrid, kind: str) -> float:
+    """The checks of one data row, in order, and its value; ``rows`` data rows
+    precede it and ``expected`` yields the index it must carry."""
     parts = line.split(",")
     if len(parts) != grid.d + 1:
         raise FormatError(f"expected {grid.d} index components and a value", line=lineno)
@@ -252,6 +244,7 @@ def _check_row(line: str, lineno: int, rows: int, expected, grid: UniformGrid, k
         raise FormatError(f"mod1 value {value!r} outside [0, 1)", line=lineno)
     if not math.isfinite(value):
         raise FormatError(f"real value {value!r} is not finite", line=lineno)
+    return value
 
 
 def read_elevation(path, crop_square: bool = False) -> np.ndarray:
@@ -299,13 +292,16 @@ def _jsonable(obj):
     return obj
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical JSON used by write_report; sorted keys, two-space indent.
+def canonical_json(obj) -> str:
+    """The JSON text of reports and CLI stdout: sorted keys, two-space indent.
     A non-finite float, such as the NaN mean of an mc cell whose trials all
     failed, is written as null."""
-    payload = {"schema_version": 1}
-    payload.update(_jsonable(report))
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+def report_to_json(report: dict) -> str:
+    """What write_report writes: canonical JSON with ``schema_version``."""
+    return canonical_json({"schema_version": 1, **report}) + "\n"
 
 
 def write_report(path, report: dict) -> None:

@@ -233,14 +233,15 @@ def run_pipeline(noisy_mod: GridField, k: int) -> PipelineResult:
 def align(ftilde: GridField, truth: GridField) -> int:
     """Modal integer shift of the unwrapped field relative to the truth.
 
-    Returns the most frequent value of round(ftilde - truth) over the grid;
-    ties go to the candidate with smaller post-alignment mean squared error
+    Returns the most frequent value of round(ftilde - truth) over the grid,
+    as a Python int, exact past the int64 range; ties go to the candidate
+    with smaller post-alignment mean squared error, inf past the float range
     (then to the smaller value).  The recovery offset that must be added to
     ftilde is the negation of this shift.
     """
     if ftilde.grid != truth.grid:
         raise ValueError("fields live on different grids")
-    shifts = np.empty(truth.grid.n, dtype=np.int64)
+    shifts = np.empty(truth.grid.n)
 
     def round_diffs(start, stop):
         shifts[start:stop] = np.round(ftilde.flat[start:stop] - truth.flat[start:stop])
@@ -253,7 +254,8 @@ def align(ftilde: GridField, truth: GridField) -> int:
     diff = ftilde.flat - truth.flat
     best = None
     for cand in sorted(int(v) for v in top):
-        mse = float(np.mean((diff - cand) ** 2))
+        with np.errstate(over="ignore"):  # an mse past the float range is inf
+            mse = float(np.mean((diff - cand) ** 2))
         if best is None or mse < best[0] - 1e-15:
             best = (mse, cand)
     return best[1]
@@ -301,7 +303,8 @@ def metrics(
     q_star = -align(ftilde, truth)
 
     def aligned_errors(start, stop):
-        sq_aligned[start:stop] = (ftilde.flat[start:stop] + q_star - truth.flat[start:stop]) ** 2
+        with np.errstate(over="ignore"):  # per thread; a square past the float range is inf
+            sq_aligned[start:stop] = (ftilde.flat[start:stop] + q_star - truth.flat[start:stop]) ** 2
 
     run_blocks(aligned_errors, n)
     return TrialResult(

@@ -213,6 +213,18 @@ def test_align_breaks_a_tie_by_error_then_by_value():
     assert align(GridField(grid, [0.4, 0.4, 0.6, 0.6]), truth) == 0
 
 
+def test_align_takes_shifts_past_the_int64_range():
+    line = UniformGrid(1, 2)
+    shift = align(GridField(line, [1e20, 1e20]), GridField(line, [0.0, 0.0]))
+    assert type(shift) is int and shift == 10**20
+    # Every mean squared error of the tie-break is past the float range: inf,
+    # so the smaller shift wins and the aligned error is inf.
+    demo = elevation_demo(np.array([[1.0, 2.0], [1e307, -1e307]]), scale=1.0, sigma=0.1, k=1)
+    for result in (demo.metrics_denoised, demo.metrics_raw):
+        assert type(result.q_star) is int and result.q_star == int(1e307)
+        assert result.aligned_mse == np.inf
+
+
 def test_metrics_rejects_fields_on_another_grid():
     line, square = UniformGrid(1, 16), UniformGrid(2, 4)
     truth = GridField(line, np.zeros(16))

@@ -10,8 +10,9 @@ package's own or in the standard library: the import time is the
 benchmark's setup time, and test-only dependencies such as scipy must never
 load.  Importing starts no thread and loads no thread pool: modrec.blocks
 reaches concurrent.futures at the first pass of two blocks, and a solve or
-a denoise of one block starts no thread.  The checks run in a fresh
-interpreter: the test process has imported far more than the package.
+a denoise of one block starts no thread.  Reading a field, through numpy's
+text reader, loads no module but the ascii codec.  The checks run in a
+fresh interpreter: the test process has imported far more than the package.
 """
 
 import os
@@ -49,15 +50,30 @@ import modrec
 print(",".join(sorted(set(sys.modules) - before)))
 """
 
+READ_PROBE = """
+import sys
+import numpy
+import modrec.fileio
+before = set(sys.modules)
+modrec.fileio.read_field(sys.argv[1])
+print(",".join(sorted(set(sys.modules) - before)))
+"""
 
-def _probe(code=PROBE):
+
+def _probe(code=PROBE, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
     return out.stdout.split()
 
 
 def test_package_import_loads_only_the_package():
     assert _probe(PACKAGE_PROBE) == ["modrec"]
+
+
+def test_reading_a_field_loads_no_module_but_the_ascii_codec(tmp_path):
+    path = tmp_path / "f.gf"
+    path.write_text("#GRIDFIELD v1 d=2 m=2 kind=mod1\n1,1,0.5\n1,2,0\n2,1,0.25\n2,2,0.75\n")
+    assert set(_probe(READ_PROBE, str(path))) <= {"encodings.ascii"}
 
 
 def test_import_adds_only_stdlib_and_the_package():

@@ -11,17 +11,27 @@ blank lines and every line after the header that starts with ``#``.  All
 writers emit deterministic byte streams for identical inputs: keys are
 sorted and float formatting is fixed.
 
-Fields are written in blocks of rows, and read by ``np.loadtxt`` over the
-data lines; ``GridField`` checks the values.  A file that either rejects,
-or on which numpy warns, is walked again one row at a time with Python's
-``int`` and ``float``: the walk returns the values of a file whose rows only
-Python parses (such as ``1_0.5``), or raises the ``FormatError`` of the
-first offending line, with its line number: the first line that has the
-wrong number of columns, lies beyond the n rows the header promises, does
-not parse as Python ``int`` indices and a ``float`` value, carries an index
-out of lexicographic order, or holds a value outside [0, 1) (mod1) or not
-finite (real), checked in that order.  A file with too few rows raises
-without a line number, and a header that repeats a key raises on line 1.
+Fields are written in blocks of ``WRITE_BLOCK_ROWS`` rows, each assembled
+by numpy and written at once, byte for byte the text of ``"%s,%.17g"`` row
+by row.  A value with 1e-4 <= |v| < 1e17, which ``'%.17g'`` prints in fixed
+notation, gets its 17 digits in numpy from one error-free product
+|v| 10^s = p + e (Dekker's TwoProduct), rounded half to even as Python
+rounds; Python's own formatting prints every other value (zeros, smaller and
+larger magnitudes).
+
+Fields are read by ``np.loadtxt`` over the data lines; ``GridField`` checks
+the values.  A file that either rejects, that is not ASCII, or on which
+numpy warns, is walked again one row at a time with Python's ``int`` and
+``float``: the walk returns the values of a file whose rows only Python
+parses (such as ``1_0.5``), or raises the ``FormatError`` of the first
+offending line, with its line number: the first line that holds a byte
+outside ASCII (line 1 for the header), has the wrong number of columns, lies
+beyond the n rows the header promises, does not parse as Python ``int``
+indices and a ``float`` value, carries an index out of lexicographic order,
+or holds a value outside [0, 1) (mod1) or not finite (real), checked in that
+order.  A file with too few rows raises without a line number, and a header
+that repeats a key raises on line 1.  ``read_elevation`` reports a byte
+outside ASCII the same way.
 
 Every writer opens its output through ``open_output``, which replaces an
 existing file rather than truncating it wherever nothing but the inode
@@ -49,7 +59,6 @@ leaves a file with too few rows, which ``read_field`` rejects.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -70,6 +79,20 @@ class FormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def _open_lines(path):
+    """``path`` opened for reading as ASCII text, a byte outside ASCII read
+    as a lone surrogate for ``_check_ascii`` to report."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _check_ascii(line: str, lineno: int) -> None:
+    """Raise the FormatError of a line of ``_open_lines`` that holds a byte
+    outside ASCII."""
+    if not line.isascii():
+        byte = next(b for b in line.encode("ascii", "surrogateescape") if b > 0x7F)
+        raise FormatError(f"non-ASCII byte 0x{byte:02x}", line=lineno)
+
+
 @dataclass(frozen=True)
 class GridFileHeader:
     d: int
@@ -80,15 +103,103 @@ class GridFileHeader:
 
 WRITE_BLOCK_ROWS = 4096  # rows formatted per write
 
-_ROW_TEMPLATE = "%s,%.17g\n"  # same bytes as format(value, ".17g")
+# Column k holds the two ASCII digits of k.
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint8).reshape(100, 2).T.copy()
+_POW10 = np.array([float(10**s) for s in range(21)])  # exact in binary64
 
 
-def _index_strings(grid: UniformGrid):
-    """The index part of every row, "i1,...,id", in lexicographic order."""
-    axis = [str(i) for i in range(1, grid.m + 1)]
-    if grid.d == 1:
-        return iter(axis)
-    return map(",".join, itertools.product(axis, repeat=grid.d))
+def _split(a):
+    """Veltkamp's split of binary64 ``a`` into hi + lo, each of at most 26
+    significant bits, so that a product of two halves is exact."""
+    c = 134217729.0 * a  # (2^27 + 1) a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits(q: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of the nonnegative integers ``q``, zero padded to
+    ``width``: row j holds digit j of each."""
+    digits = np.empty((width + width % 2, q.size), np.uint8)
+    for row in range(digits.shape[0] - 2, -1, -2):
+        rest = q // 100
+        _DIGIT_PAIRS.take(q - rest * 100, axis=1, out=digits[row:row + 2])
+        q = rest
+    return digits[width % 2:]
+
+
+def _format_fixed(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``'%.17g'`` text of each value with 1e-4 <= |v| < 1e17, which
+    it prints in fixed notation, into its column of ``out``, 24 rows of zeros
+    on entry; return the indices of the other values, whose columns hold junk."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)
+    if not fast.any():
+        return np.arange(values.size)
+    a[~fast] = 1.0  # a stand-in in the fast range
+    # The 17 digits are D = round(|v| 10^s), s = 16 - X, X = floor(log10 |v|),
+    # so that 10^16 <= D < 10^17; 10^s is exact for s in [0, 20].
+    x = np.floor(np.log10(a)).astype(np.intp).clip(-4, 16)
+    ah, al = _split(a)
+    while True:  # log10 may be one off next to a power of ten
+        s = 16 - x
+        b, bh, bl = _POW10.take(s), _POW10_HI.take(s), _POW10_LO.take(s)
+        p = a * b  # p + e == |v| 10^s exactly (Dekker's TwoProduct)
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        low = (p < 1e16) | ((p == 1e16) & (e < 0))
+        high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+        if not (low.any() or high.any()):
+            break
+        x += high
+        x -= low
+    # p >= 10^16 > 2^53 is an even integer, so rounding e half to even rounds
+    # p + e half to even, as Python does.  It never rounds up to 10^17: a
+    # double below 10^(17 - s), times 10^s, is at most 10^17 - 5.
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    # The text of |v| is 0000d0...d16 with a point after its column 4 + X,
+    # shown from the "0." of X < 0, else from d0, up to the last nonzero
+    # digit past the point, or up to d_X without the point.
+    padded = np.zeros((23, values.size), np.uint8)  # NUL, 0000d0...d16, NUL
+    padded[1:5] = ord("0")
+    padded[5:22] = _digits(digits, 17)
+    col = np.arange(22, dtype=np.int8)[:, None]
+    last = ((padded[5:22] != ord("0")) * col[:17]).max(axis=0)
+    x = x.astype(np.int8)
+    point = x + 5
+    body = padded[1:] * (col < point)
+    body += padded[:-1] * (col > point)
+    body += np.uint8(ord(".")) * (col == point)
+    start = 4 + np.minimum(x, 0)
+    stop = np.where(last > x, last + 6, point)
+    out[0] = np.signbit(values) * np.uint8(ord("-"))
+    out[1:23] = body * ((col >= start) & (col < stop))
+    return np.flatnonzero(~fast)
+
+
+def _format_rows(grid: UniformGrid, values: np.ndarray, start: int) -> bytes:
+    """The text of the data rows start, start + 1, ... that hold ``values``:
+    each row is assembled NUL padded in a column of one matrix, whose NULs
+    are then dropped."""
+    d, m = grid.d, grid.m
+    width = len(str(m))
+    text = np.zeros((d * (width + 1) + 25, values.size), np.uint8)
+    lex = np.arange(start, start + values.size)
+    shown = 10 ** np.arange(width - 1, -1, -1)[:, None]  # index digit j shows from shown[j]
+    for axis in range(d):
+        index = lex // m ** (d - 1 - axis) % m + 1
+        row = axis * (width + 1)
+        text[row:row + width] = _digits(index, width) * (index >= shown)
+        text[row + width] = ord(",")
+    slow = _format_fixed(values, text[-25:-1])
+    text[-1] = ord("\n")
+    rows = np.ascontiguousarray(text.T)
+    if slow.size:
+        # Python's text, space padded to 24 bytes, the length of -1.7976931348623157e+308
+        python_text = "%-24.17g" * slow.size % tuple(values[slow].tolist())
+        rows[slow, -25:-1] = np.frombuffer(python_text.replace(" ", "\0").encode(), np.uint8).reshape(-1, 24)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _replaceable_mode(path) -> int | None:
@@ -132,19 +243,18 @@ def write_field(path, fld: GridField, seed: int | None = None) -> None:
     header = f"#GRIDFIELD v1 d={fld.grid.d} m={fld.grid.m} kind={fld.kind}"
     if seed is not None:
         header += f" seed={int(seed)}"
-    indices = _index_strings(fld.grid)
     flat = fld.flat
     with open_output(path) as fh:
         fh.write(header + "\n")
         for start in range(0, flat.size, WRITE_BLOCK_ROWS):
-            block = flat[start:start + WRITE_BLOCK_ROWS].tolist()
-            pairs = zip(itertools.islice(indices, len(block)), block)
-            fh.write(_ROW_TEMPLATE * len(block) % tuple(itertools.chain.from_iterable(pairs)))
+            text = _format_rows(fld.grid, flat[start:start + WRITE_BLOCK_ROWS], start)
+            fh.write(text.decode("ascii"))
 
 
 def read_header(path) -> GridFileHeader:
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
+    with _open_lines(path) as fh:
+        first = fh.readline()
+        _check_ascii(first, 1)
         tokens = first.split()
         if len(tokens) < 2 or tokens[0] != "#GRIDFIELD" or tokens[1] != "v1":
             raise FormatError("expected '#GRIDFIELD v1' header", line=1)
@@ -213,8 +323,9 @@ def _read_rows(path, grid: UniformGrid, kind: str) -> np.ndarray:
     numpy declined but Python's ``int`` and ``float`` accept."""
     values = []
     expected = iter_lex(grid)
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_ascii(line, lineno)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -251,8 +362,9 @@ def read_elevation(path, crop_square: bool = False) -> np.ndarray:
     """Whitespace-separated rectangular matrix of reals; optionally crop the
     leading square block."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_ascii(line, lineno)
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -237,17 +237,21 @@ def align(ftilde: GridField, truth: GridField) -> int:
     as a Python int, exact past the int64 range; ties go to the candidate
     with smaller post-alignment mean squared error, inf past the float range
     (then to the smaller value).  The recovery offset that must be added to
-    ftilde is the negation of this shift.
+    ftilde is the negation of this shift.  Raises ValueError when a
+    difference ftilde - truth leaves the float range.
     """
     if ftilde.grid != truth.grid:
         raise ValueError("fields live on different grids")
     shifts = np.empty(truth.grid.n)
 
     def round_diffs(start, stop):
-        shifts[start:stop] = np.round(ftilde.flat[start:stop] - truth.flat[start:stop])
+        with np.errstate(over="ignore"):  # an overflow is an infinite shift, refused below
+            shifts[start:stop] = np.round(ftilde.flat[start:stop] - truth.flat[start:stop])
 
     run_blocks(round_diffs, truth.grid.n)
     values, counts = np.unique(shifts, return_counts=True)
+    if not (np.isfinite(values[0]) and np.isfinite(values[-1])):  # sorted: an inf is at an end
+        raise ValueError("ftilde - truth leaves the float range")
     top = values[counts == counts.max()]
     if top.size == 1:
         return int(top[0])

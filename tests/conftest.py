@@ -428,10 +428,13 @@ def read_field_rowwise(path) -> GridField:
     header = read_header(path)
     grid = UniformGrid(d=header.d, m=header.m)
     values = np.empty(grid.n)
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="latin-1") as fh:  # one character per byte
         rows = 0
         expected = iter(iter_lex(grid))
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) for c in line if ord(c) > 0x7F)
+                raise FormatError(f"non-ASCII byte 0x{byte:02x}", line=lineno)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -383,6 +383,15 @@ def test_bad_header_value_exits_2(tmp_path, capsys):
     assert code == 2 and "data error: line 1:" in err
 
 
+def test_non_ascii_byte_exits_2_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.gf"
+    bad.write_bytes("#GRIDFIELD v1 d=1 m=2 kind=real\n1,0.5\n2,\u00e9\n".encode("utf-8"))
+    code, _, err = run(
+        capsys, "unwrap", "--in", str(bad), "--out", str(tmp_path / "o.gf")
+    )
+    assert code == 2 and "data error: line 3: non-ASCII byte 0xc3" in err
+
+
 def test_header_promising_a_huge_grid_exits_2(tmp_path, capsys):
     bad = tmp_path / "huge.gf"
     bad.write_text("#GRIDFIELD v1 d=40 m=2 kind=real\n" + "1," * 40 + "0.5\n")

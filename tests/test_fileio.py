@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import json
+import math
 import os
 import stat
 import warnings
@@ -118,7 +120,9 @@ def _special_values(kind: str) -> list:
 
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("kind", ["real", "mod1"])
-@pytest.mark.parametrize("d, m", [(1, 2), (1, WRITE_BLOCK_ROWS), (1, 9000), (2, 70), (3, 17)])
+@pytest.mark.parametrize(
+    "d, m", [(1, 2), (1, WRITE_BLOCK_ROWS), (1, WRITE_BLOCK_ROWS + 1), (1, 9000), (2, 70), (3, 17)],
+)
 def test_writer_bytes_match_the_row_oracle(tmp_path, d, m, kind, seed):
     rng = np.random.default_rng(1000 * d + m)
     grid = UniformGrid(d, m)
@@ -128,13 +132,68 @@ def test_writer_bytes_match_the_row_oracle(tmp_path, d, m, kind, seed):
         vals = rng.standard_normal(grid.n) * 10.0 ** rng.integers(-300, 300, size=grid.n)
     special = _special_values(kind)[: grid.n]
     vals[: len(special)] = special
-    fld = GridField.from_flat(grid, vals, kind=kind)
-    fast, slow = tmp_path / "fast.gf", tmp_path / "slow.gf"
-    write_field(fast, fld, seed=seed)
-    write_field_rowwise(slow, fld, seed=seed)
-    assert fast.read_bytes() == slow.read_bytes()
-    back = read_field(fast)
-    assert back.values.tobytes() == fld.values.tobytes()
+    # A second field: every |v| outside [1e-4, 1e17), printed by Python's own formatting.
+    python_text = rng.uniform(0, 1e-4, size=grid.n)
+    if kind == "real":
+        exponents = np.where(rng.random(grid.n) < 0.5, rng.uniform(-300, -5, grid.n), rng.uniform(17, 300, grid.n))
+        python_text = rng.choice([-1.0, 1.0], grid.n) * 10.0**exponents
+    special = [v for v in _special_values(kind) if not 1e-4 <= abs(v) < 1e17][: grid.n]
+    python_text[: len(special)] = special
+    assert not np.any((np.abs(python_text) >= 1e-4) & (np.abs(python_text) < 1e17))
+    for values in (vals, python_text):
+        fld = GridField.from_flat(grid, values, kind=kind)
+        fast, slow = tmp_path / "fast.gf", tmp_path / "slow.gf"
+        write_field(fast, fld, seed=seed)
+        write_field_rowwise(slow, fld, seed=seed)
+        assert fast.read_bytes() == slow.read_bytes()
+        back = read_field(fast)
+        assert back.values.tobytes() == fld.values.tobytes()
+
+
+def _halfway_values(rng, per_exponent: int) -> np.ndarray:
+    """Values v exactly halfway between two 17-digit decimals: v 10^s =
+    N 5^s / 2 with N odd for v = N / 2^(s + 1), whose 17 digits are those of
+    v 10^s once 10^16 <= v 10^s < 10^17."""
+    values = []
+    for s in range(1, 21):
+        lo, hi = 10 ** (16 - s) * 2 ** (s + 1), min(10 ** (17 - s) * 2 ** (s + 1), 2**53)
+        odd = rng.integers(lo // 2, hi // 2, size=per_exponent) * 2 + 1
+        values.append(odd.astype(float) / 2.0 ** (s + 1))
+    return np.concatenate(values)
+
+
+def _formatter_corpus() -> np.ndarray:
+    rng = np.random.default_rng(31)
+    patterns = np.frombuffer(rng.bytes(8 * 40000), np.uint64)
+    powers = np.array([float(f"1e{k}") for k in range(-10, 21)] + [1e-4, 1e17])
+    values = np.concatenate([
+        patterns.view(np.float64),  # random 64-bit patterns, a few of them subnormal
+        (patterns[:10000] >> np.uint64(12)).view(np.float64),  # all subnormal
+        rng.uniform(size=20000),
+        np.concatenate([rng.standard_normal(500) * 10.0**k for k in range(-30, 31)]),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [0.0, 1.0, 2.0**53, 2.0**53 - 1, 5e-324, 1.7976931348623157e308],
+        rng.integers(0, 2**53, size=5000, endpoint=True).astype(float),
+        rng.uniform(1e16, 1e17, size=5000),
+        [1000000000000000.25, 1000000000000000.75, 15070.408813476562],
+        _halfway_values(rng, 200),
+    ])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+def test_writer_formats_values_as_python_does(tmp_path):
+    values = _formatter_corpus()
+    assert values.size > 10**5
+    halfway = _halfway_values(np.random.default_rng(0), 5)
+    assert all(decimal.Decimal(v).scaleb(16 - math.floor(math.log10(v))) % 1 == decimal.Decimal("0.5")
+               for v in halfway.tolist())
+    p = tmp_path / "corpus.gf"
+    write_field(p, GridField(UniformGrid(1, values.size), values))
+    got = [line.partition(",")[2] for line in p.read_text().splitlines()[1:]]
+    want = [format(v, ".17g") for v in values.tolist()]
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if g != w] == []
 
 
 def _same_outcome_as_oracle(path):
@@ -230,6 +289,33 @@ def test_reader_matches_the_row_oracle_on_bad_files(tmp_path, name):
     assert str(err).startswith(message if line is None else f"line {line}: {message}")
 
 
+# name: (file bytes, line of the error, start of the message)
+_NON_ASCII_FILES = {
+    "value": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n1,0.5\n2,\xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
+    "header": (b"#GRIDFIELD v1 d=1 m=2 kind=r\xe9al\n1,0.5\n2,0\n", 1, "non-ASCII byte 0xe9"),
+    "0xff in a value": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n1,0.5\n2,0\xff\n", 3, "non-ASCII byte 0xff"),
+    "comment line": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n#meta caf\xc3\xa9\n1,0.5\n2,0\n", 2, "non-ASCII"),
+    "comment after the last row": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n1,0.5\n2,0\n#\x80\n", 4, "non-ASCII byte 0x80"),
+    "next to another fault": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n1,0.5\n9,\xa0\n", 3, "non-ASCII byte 0xa0"),
+    "after another fault": (b"#GRIDFIELD v1 d=1 m=2 kind=real\n1,nan\n2,\xc3\xa9\n", 2, "real value nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_ASCII_FILES))
+def test_a_byte_outside_ascii_names_its_line(tmp_path, name):
+    data, line, message = _NON_ASCII_FILES[name]
+    p = tmp_path / "bad.gf"
+    p.write_bytes(data)
+    if line == 1:
+        with pytest.raises(FormatError) as raised:
+            read_field(p)
+        err = raised.value
+    else:
+        assert read_header(p) == GridFileHeader(d=1, m=2, kind="real")
+        err = _same_outcome_as_oracle(p)
+    assert str(err).startswith(f"line {line}: {message}")
+
+
 def test_header_promising_more_rows_than_the_file_can_hold(tmp_path):
     # 2^40 rows of at least 81 bytes cannot fit in this file: the reader must
     # say so before it allocates anything the header implies.
@@ -246,7 +332,7 @@ def _large_rows(n: int) -> list:
 
 @pytest.mark.parametrize(
     "fault",
-    ["value", "columns", "index", "cut short", "extra rows", "early and late"],
+    ["value", "columns", "index", "cut short", "extra rows", "early and late", "non-ASCII"],
 )
 def test_reader_fault_beyond_the_first_block(tmp_path, fault):
     n = 12000  # about 26 bytes a row: the late fault lies past the first 128 kB
@@ -263,12 +349,14 @@ def test_reader_fault_beyond_the_first_block(tmp_path, fault):
         rows = rows[: late]
     elif fault == "extra rows":
         rows.append(f"{n + 1},0.5\n")
+    elif fault == "non-ASCII":
+        rows[late] = f"{late + 1},0.5\xa0\n"
     else:
         rows[late] = f"{late + 1},nan\n"
         rows[7] = "8,0.5,0.5\n"
     assert len(header + "".join(rows[:late])) > 2 * 65536
     p = tmp_path / "large.gf"
-    p.write_text(header + "".join(rows))
+    p.write_text(header + "".join(rows), encoding="latin-1")
     err = _same_outcome_as_oracle(p)
     expected_line = {"cut short": None, "extra rows": n + 2, "early and late": 9}.get(fault, late + 2)
     assert err is not None and err.line == expected_line
@@ -440,6 +528,11 @@ def test_elevation_reader(tmp_path):
     with pytest.raises(FormatError) as err:
         read_elevation(p)
     assert err.value.line == 3 and "cannot parse row '3 x'" in str(err.value)
+
+    p.write_bytes(b"1 2\n# caf\xc3\xa9\n3 4\n")
+    with pytest.raises(FormatError) as err:
+        read_elevation(p)
+    assert err.value.line == 2 and "non-ASCII byte 0xc3" in str(err.value)
 
     p.write_text("1 2 3 4\n5 6 7 8\n9 10 11 12\n")
     mat = read_elevation(p, crop_square=True)
@@ -619,13 +712,14 @@ def test_an_interrupted_write_leaves_a_file_the_reader_rejects(tmp_path, monkeyp
     if existing:
         write_field(p, _field(m, 1))  # a complete field of the same grid
     new = _field(m, 2)
-    original = fileio._index_strings
+    original = fileio._format_rows
 
-    def killed_after_first_block(grid):
-        yield from itertools.islice(original(grid), WRITE_BLOCK_ROWS)
-        raise KeyboardInterrupt("killed mid-write")
+    def killed_after_first_block(grid, values, start):
+        if start > 0:
+            raise KeyboardInterrupt("killed mid-write")
+        return original(grid, values, start)
 
-    monkeypatch.setattr(fileio, "_index_strings", killed_after_first_block)
+    monkeypatch.setattr(fileio, "_format_rows", killed_after_first_block)
     with pytest.raises(KeyboardInterrupt):
         write_field(p, new)
     want = _oracle_bytes(tmp_path, new).splitlines(keepends=True)[: WRITE_BLOCK_ROWS + 1]

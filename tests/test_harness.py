@@ -225,6 +225,18 @@ def test_align_takes_shifts_past_the_int64_range():
         assert result.aligned_mse == np.inf
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_align_refuses_a_difference_past_the_float_range(sign):
+    line = UniformGrid(1, 2)
+    big, small = GridField(line, [sign * 1e308] * 2), GridField(line, [-sign * 1e308] * 2)
+    with pytest.raises(ValueError, match="ftilde - truth leaves the float range"):
+        align(big, small)
+    # One point past the range and one within: the finite shift has no majority.
+    mixed = GridField(line, [sign * 1e308, 0.0])
+    with pytest.raises(ValueError, match="leaves the float range"):
+        align(mixed, GridField(line, [-sign * 1e308, 0.0]))
+
+
 def test_metrics_rejects_fields_on_another_grid():
     line, square = UniformGrid(1, 16), UniformGrid(2, 4)
     truth = GridField(line, np.zeros(16))

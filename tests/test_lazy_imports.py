@@ -11,8 +11,10 @@ benchmark's setup time, and test-only dependencies such as scipy must never
 load.  Importing starts no thread and loads no thread pool: modrec.blocks
 reaches concurrent.futures at the first pass of two blocks, and a solve or
 a denoise of one block starts no thread.  Reading a field, through numpy's
-text reader, loads no module but the ascii codec.  The checks run in a
-fresh interpreter: the test process has imported far more than the package.
+text reader, loads no module but the ascii codec; writing one, through the
+numpy formatter, loads no module but that codec and starts no thread.  The
+checks run in a fresh interpreter: the test process has imported far more
+than the package.
 """
 
 import os
@@ -59,6 +61,18 @@ modrec.fileio.read_field(sys.argv[1])
 print(",".join(sorted(set(sys.modules) - before)))
 """
 
+WRITE_PROBE = """
+import sys, threading
+import numpy
+import modrec.fileio, modrec.grid
+fld = modrec.grid.GridField(modrec.grid.UniformGrid(2, 2), numpy.array([[0.5, 1e-300], [-2.0, 0.0]]))
+before = set(sys.modules)
+threads = threading.active_count()
+modrec.fileio.write_field(sys.argv[1], fld)
+print(threading.active_count() - threads)
+print(",".join(sorted(set(sys.modules) - before)))
+"""
+
 
 def _probe(code=PROBE, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")])))
@@ -74,6 +88,12 @@ def test_reading_a_field_loads_no_module_but_the_ascii_codec(tmp_path):
     path = tmp_path / "f.gf"
     path.write_text("#GRIDFIELD v1 d=2 m=2 kind=mod1\n1,1,0.5\n1,2,0\n2,1,0.25\n2,2,0.75\n")
     assert set(_probe(READ_PROBE, str(path))) <= {"encodings.ascii"}
+
+
+def test_writing_a_field_loads_no_module_but_the_ascii_codec_and_starts_no_thread(tmp_path):
+    threads, *added = _probe(WRITE_PROBE, str(tmp_path / "f.gf"))
+    assert threads == "0"
+    assert set(added) <= {"encodings.ascii"}
 
 
 def test_import_adds_only_stdlib_and_the_package():
